@@ -5,39 +5,30 @@ opposites -> bent labels) runs in time linear in the vertex count for any
 fixed dimension, and a brute-force oracle plus generators back it with
 exhaustive cross-checks.
 """
-from .cubes import (CubeIndex, CubeRecord, enumerate_cubes, lookup_by_antibasis,
-                    lookup_by_basis, pof_extension_ok)
-from .eccentricity import (EccReport, compute_psi, eccentricities,
-                           milestones_oracle)
+from .cubes import CubeIndex, enumerate_cubes
+from .eccentricity import EccReport, compute_psi, eccentricities
 from .generators import (FIXTURE_NAMES, cartesian_product, expand_once,
                          fixture, gen_grid, gen_hypercube, gen_tree,
                          peripheral_expansion)
-from .graph import (BipartiteCheck, DistVector, Graph, GraphFormatError,
+from .graph import (BipartiteCheck, Graph, GraphFormatError,
                     GraphValidationError, bfs, build_graph, check_bipartite,
                     load_graph, save_graph)
 from .heuristics import SweepResult, sweep2, sweep4
-from .labels import compute_phi, ladder_set_oracle
-from .opposites import (OppositeTree, UpsilonResult, WeightedPofSet,
-                        build_tree, compute_opposites, diameter_via_upsilon,
-                        find_opposite, upsilon)
+from .labels import compute_phi
+from .opposites import compute_opposites, diameter_via_upsilon, upsilon
 from .pipeline import PipelineResult, run_pipeline
-from .theta import (HalfspaceSides, NonMedianGraphError, ThetaDecomposition,
-                    compute_theta, halfspace_sides, orthogonal)
+from .theta import NonMedianGraphError, ThetaDecomposition, compute_theta
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BipartiteCheck", "CubeIndex", "CubeRecord", "DistVector", "EccReport",
-    "FIXTURE_NAMES", "Graph", "GraphFormatError", "GraphValidationError",
-    "HalfspaceSides", "NonMedianGraphError", "OppositeTree",
-    "PipelineResult", "SweepResult", "ThetaDecomposition", "UpsilonResult",
-    "WeightedPofSet", "bfs", "build_graph", "build_tree",
-    "cartesian_product", "check_bipartite", "compute_opposites",
-    "compute_phi", "compute_psi", "compute_theta", "diameter_via_upsilon",
-    "eccentricities", "enumerate_cubes", "expand_once", "find_opposite",
-    "fixture", "gen_grid", "gen_hypercube", "gen_tree", "halfspace_sides",
-    "ladder_set_oracle", "load_graph", "lookup_by_antibasis",
-    "lookup_by_basis", "milestones_oracle", "orthogonal",
-    "peripheral_expansion", "pof_extension_ok", "run_pipeline", "save_graph",
+    "BipartiteCheck", "CubeIndex", "EccReport", "FIXTURE_NAMES", "Graph",
+    "GraphFormatError", "GraphValidationError", "NonMedianGraphError",
+    "PipelineResult", "SweepResult", "ThetaDecomposition", "bfs",
+    "build_graph", "cartesian_product", "check_bipartite",
+    "compute_opposites", "compute_phi", "compute_psi", "compute_theta",
+    "diameter_via_upsilon", "eccentricities", "enumerate_cubes",
+    "expand_once", "fixture", "gen_grid", "gen_hypercube", "gen_tree",
+    "load_graph", "peripheral_expansion", "run_pipeline", "save_graph",
     "sweep2", "sweep4", "upsilon",
 ]

@@ -17,7 +17,7 @@ from .graph import (Graph, GraphFormatError, GraphValidationError,
 from .heuristics import sweep2, sweep4
 from .labels import compute_phi
 from .opposites import compute_opposites, diameter_via_upsilon
-from .pipeline import run_pipeline
+from .pipeline import STAGES, run_pipeline
 from .theta import NonMedianGraphError, compute_theta
 
 
@@ -131,7 +131,7 @@ def _cmd_diam(args) -> int:
 
 def _cmd_ecc(args) -> int:
     g = _read_graph(args.file)
-    result = run_pipeline(g, v0=args.v0, threads=args.threads)
+    result = run_pipeline(g, v0=args.v0)
     rep = result.report
     print(f"diameter {rep.diameter} radius {rep.radius}")
     print(f"center {rep.center_vertex}")
@@ -175,8 +175,7 @@ def _grid_of_size(n: int) -> Graph:
 
 def _cmd_bench(args) -> int:
     sizes = _parse_sizes(args.sizes)
-    rows = ["size,d,time_theta,time_cubes,time_phi,time_opposites,"
-            "time_psi,total"]
+    rows = ["size,d," + "".join(f"time_{s}," for s in STAGES) + "total"]
     for size in sizes:
         if args.kind == "grid":
             g = _grid_of_size(size)
@@ -184,12 +183,10 @@ def _cmd_bench(args) -> int:
             g = gen_tree(size, args.seed)
         else:
             g = gen_hypercube(max(1, size.bit_length() - 1))
-        result = run_pipeline(g, threads=args.threads)
-        t = result.timings
-        total = result.total_time
-        rows.append(f"{g.n},{result.index.dimension},{t['theta']:.6f},"
-                    f"{t['cubes']:.6f},{t['phi']:.6f},{t['opposites']:.6f},"
-                    f"{t['psi']:.6f},{total:.6f}")
+        result = run_pipeline(g)
+        times = "".join(f"{result.timings[s]:.6f}," for s in STAGES)
+        rows.append(f"{g.n},{result.index.dimension},{times}"
+                    f"{result.total_time:.6f}")
     text = "\n".join(rows) + "\n"
     if args.csv:
         Path(args.csv).write_text(text, encoding="utf-8")
@@ -259,7 +256,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     add_v0(p)
     p.add_argument("--csv", help="write vertex,ecc,witness rows here")
-    p.add_argument("--threads", type=int, default=1)
     p.set_defaults(func=_cmd_ecc)
 
     p = sub.add_parser("sweep", help="2-sweep / 4-sweep lower bound")
@@ -275,7 +271,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma list or doubling range lo..hi")
     p.add_argument("--csv")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=1)
     p.set_defaults(func=_cmd_bench)
 
     return parser

@@ -13,37 +13,21 @@ distance from v0, which is the order those passes rely on.
 """
 from __future__ import annotations
 
-from typing import NamedTuple, Optional
+from typing import Optional
 
 from .graph import Graph
 from .theta import NonMedianGraphError, ThetaDecomposition
 
 
-class CubeRecord(NamedTuple):
-    """Read-only view of one enumerated hypercube."""
-
-    id: int
-    basis: int
-    anti_basis: int
-    pof: tuple
-    phi: int
-    mu: int
-    psi: int
-    psi_witness: int
-
-
 class CubeIndex:
-    """All hypercube records plus lookup structure.
+    """All hypercube records.
 
     ``outgoing[v]`` / ``ingoing[v]`` list record ids whose basis /
-    anti-basis is v, in enumeration order. ``by_basis`` and
-    ``by_antibasis`` map (vertex, pof) -> record id and are built lazily
-    since only lookups and tests need them.
+    anti-basis is v, in enumeration order.
     """
 
     __slots__ = ("n", "dimension", "basis", "anti_basis", "pof", "phi", "mu",
-                 "psi", "psi_witness", "outgoing", "ingoing", "opp",
-                 "_by_basis", "_by_antibasis")
+                 "psi", "psi_witness", "outgoing", "ingoing", "opp")
 
     def __init__(self, n: int):
         self.n = n
@@ -58,43 +42,9 @@ class CubeIndex:
         self.outgoing: list = [[] for _ in range(n)]
         self.ingoing: list = [[] for _ in range(n)]
         self.opp: Optional[list] = None
-        self._by_basis: Optional[dict] = None
-        self._by_antibasis: Optional[dict] = None
 
     def __len__(self) -> int:
         return len(self.pof)
-
-    def record(self, rid: int) -> CubeRecord:
-        return CubeRecord(rid, self.basis[rid], self.anti_basis[rid],
-                          self.pof[rid], self.phi[rid], self.mu[rid],
-                          self.psi[rid], self.psi_witness[rid])
-
-    def records(self):
-        for rid in range(len(self.pof)):
-            yield self.record(rid)
-
-    @property
-    def by_basis(self) -> dict:
-        if self._by_basis is None:
-            table: dict = {}
-            for rid in range(len(self.pof)):
-                key = (self.basis[rid], self.pof[rid])
-                if key in table:
-                    raise NonMedianGraphError(
-                        f"two hypercubes share basis {key[0]} and classes "
-                        f"{key[1]}")
-                table[key] = rid
-            self._by_basis = table
-        return self._by_basis
-
-    @property
-    def by_antibasis(self) -> dict:
-        if self._by_antibasis is None:
-            self._by_antibasis = {
-                (self.anti_basis[rid], self.pof[rid]): rid
-                for rid in range(len(self.pof))
-            }
-        return self._by_antibasis
 
     def distinct_pofs(self) -> set:
         return set(self.pof)
@@ -171,32 +121,3 @@ def enumerate_cubes(g: Graph, theta: ThetaDecomposition,
 
     index.dimension = dim
     return index
-
-
-def pof_extension_ok(theta: ThetaDecomposition, w: int, cls: int) -> bool:
-    """Constant-time orthogonal-extension test: does class ``cls`` touch w?
-
-    Valid in the label-pass contexts where w is the basis of a cube whose
-    anti-basis already touches ``cls``; there, an incident edge at w is
-    equivalent to the cube's class set staying pairwise orthogonal when
-    ``cls`` is added.
-    """
-    return cls in theta.incident[w]
-
-
-def lookup_by_basis(index: CubeIndex, basis: int, pof: tuple) -> int:
-    """Record id of the unique cube with this basis and class set."""
-    try:
-        return index.by_basis[(basis, tuple(pof))]
-    except KeyError:
-        raise KeyError(f"no hypercube with basis {basis} and classes "
-                       f"{tuple(pof)}") from None
-
-
-def lookup_by_antibasis(index: CubeIndex, anti_basis: int, pof: tuple) -> int:
-    """Record id of the unique cube with this anti-basis and class set."""
-    try:
-        return index.by_antibasis[(anti_basis, tuple(pof))]
-    except KeyError:
-        raise KeyError(f"no hypercube with anti-basis {anti_basis} and "
-                       f"classes {tuple(pof)}") from None

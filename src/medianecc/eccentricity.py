@@ -9,12 +9,10 @@ families on the records around u.
 """
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .cubes import CubeIndex
-from .graph import Graph, bfs
-from .theta import NonMedianGraphError, ThetaDecomposition
+from .theta import ThetaDecomposition
 
 
 @dataclass(frozen=True)
@@ -71,10 +69,7 @@ def compute_psi(index: CubeIndex, theta: ThetaDecomposition) -> None:
                     break
             if blocked:
                 continue
-            ps = psi[t]
-            if ps < 0:
-                continue  # unreachable: the first candidate is always set
-            cand = size + ps
+            cand = size + psi[t]
             if cand > best:
                 best = cand
                 wit = psiw[t]
@@ -82,13 +77,18 @@ def compute_psi(index: CubeIndex, theta: ThetaDecomposition) -> None:
         psiw[r] = wit
 
 
-def _ecc_range(index: CubeIndex, lo: int, hi: int) -> tuple:
-    pofs, phi, mu = index.pof, index.phi, index.mu
+def eccentricities(index: CubeIndex) -> EccReport:
+    """Assemble every vertex's eccentricity from the computed labels.
+
+    The witness is the smallest vertex id among the records attaining the
+    maximum.
+    """
+    phi, mu = index.phi, index.mu
     psi, psiw = index.psi, index.psi_witness
     outgoing, ingoing = index.outgoing, index.ingoing
-    ecc = [0] * (hi - lo)
-    wit = [0] * (hi - lo)
-    for u in range(lo, hi):
+    ecc = [0] * index.n
+    wit = [0] * index.n
+    for u in range(index.n):
         best = 0
         bw = u  # the empty outgoing cube: distance 0 to u itself
         for r in outgoing[u]:
@@ -96,41 +96,13 @@ def _ecc_range(index: CubeIndex, lo: int, hi: int) -> tuple:
             if val > best or (val == best and mu[r] < bw):
                 best = val
                 bw = mu[r]
-        for r in ingoing[u]:
-            if not pofs[r]:
-                continue
+        for r in ingoing[u]:  # empty-pof records keep psi = -1
             val = psi[r]
-            if val < 0:
-                continue
             if val > best or (val == best and psiw[r] < bw):
                 best = val
                 bw = psiw[r]
-        ecc[u - lo] = best
-        wit[u - lo] = bw
-    return ecc, wit
-
-
-def eccentricities(index: CubeIndex, threads: int = 1) -> EccReport:
-    """Assemble every vertex's eccentricity from the computed labels.
-
-    The witness is the smallest vertex id among the records attaining the
-    maximum. The reduction is an ordered map over vertex chunks, so the
-    result is identical for any thread count.
-    """
-    if threads < 1:
-        raise ValueError("threads must be >= 1")
-    n = index.n
-    if threads == 1 or n < 256:
-        ecc, wit = _ecc_range(index, 0, n)
-    else:
-        chunk = (n + threads - 1) // threads
-        bounds = [(i, min(i + chunk, n)) for i in range(0, n, chunk)]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(lambda b: _ecc_range(index, *b), bounds))
-        ecc, wit = [], []
-        for e, w in parts:
-            ecc.extend(e)
-            wit.extend(w)
+        ecc[u] = best
+        wit[u] = bw
 
     diameter = max(ecc)
     radius = min(ecc)
@@ -139,41 +111,3 @@ def eccentricities(index: CubeIndex, threads: int = 1) -> EccReport:
     return EccReport(ecc=ecc, witness=wit, diameter=diameter, radius=radius,
                      diametral_pair=(u_star, wit[u_star]),
                      center_vertex=center)
-
-
-def milestones_oracle(g: Graph, theta: ThetaDecomposition, u: int,
-                      v: int) -> list:
-    """Reference jump chain from u up to v (u between v0 and v required).
-
-    Repeatedly hop through the hypercube spanned by the current vertex's
-    ladder classes toward v; the chain records each landing vertex and ends
-    at v. Test-side only.
-    """
-    dv = bfs(g, v).dist
-    if theta.dist0[u] + dv[u] != theta.dist0[v]:
-        raise ValueError(
-            f"vertex {u} is not between the basepoint and vertex {v}")
-    incident = theta.incident
-    edge_class = theta.edge_class
-    chain = [u]
-    cur = u
-    for _ in range(g.n + 1):
-        if cur == v:
-            return chain
-        ladder = sorted(edge_class[eid] for x, eid in g.adj[cur]
-                        if dv[x] == dv[cur] - 1)
-        nxt = cur
-        for c in ladder:
-            eid = incident[nxt].get(c)
-            if eid is None:
-                raise NonMedianGraphError(
-                    f"jump from vertex {cur} stalled: no edge of class {c} "
-                    f"at vertex {nxt}")
-            nxt = g.other_endpoint(eid, nxt)
-        if dv[nxt] != dv[cur] - len(ladder):
-            raise NonMedianGraphError(
-                f"jump from vertex {cur} did not move {len(ladder)} steps "
-                f"toward vertex {v}")
-        chain.append(nxt)
-        cur = nxt
-    raise NonMedianGraphError("jump chain exceeded the vertex count")

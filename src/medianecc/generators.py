@@ -105,8 +105,8 @@ def expand_once(g: Graph, a: int, b: int) -> Graph:
     Intervals are convex, hence gated, so the doubled graph is again
     median; copies take the next free ids in ascending interval order.
     """
-    da = bfs(g, a).dist
-    db = bfs(g, b).dist
+    da = bfs(g, a)
+    db = bfs(g, b)
     dab = da[b]
     hull = [x for x in range(g.n) if da[x] + db[x] == dab]
     clone = {h: g.n + i for i, h in enumerate(hull)}
@@ -131,8 +131,8 @@ def peripheral_expansion(g: Graph, seed: int, steps: int,
     for _ in range(steps):
         a = rng.randrange(g.n)
         b = rng.randrange(g.n)
-        da = bfs(g, a).dist
-        db = bfs(g, b).dist
+        da = bfs(g, a)
+        db = bfs(g, b)
         hull_size = sum(1 for x in range(g.n)
                         if da[x] + db[x] == da[b])
         if g.n + hull_size > max_n:

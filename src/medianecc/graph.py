@@ -34,17 +34,14 @@ class GraphValidationError(ValueError):
 class Graph:
     """Simple connected undirected graph.
 
-    ``adj[v]`` holds ``(neighbor, edge_id)`` pairs sorted by neighbor id;
-    ``neighbors[v]`` is the matching bare neighbor tuple and ``nbr_edge[v]``
-    maps neighbor -> edge id. The graph is read-only after construction and
-    safe to share across workers.
+    ``neighbors[v]`` maps each neighbor of v to the id of the edge joining
+    them, in ascending neighbor order. The graph is read-only after
+    construction.
     """
 
     n: int
     edges: tuple[tuple[int, int], ...]
-    adj: tuple[tuple[tuple[int, int], ...], ...]
-    neighbors: tuple[tuple[int, ...], ...]
-    nbr_edge: tuple[dict, ...]
+    neighbors: tuple[dict[int, int], ...]
 
     @property
     def m(self) -> int:
@@ -55,22 +52,11 @@ class Graph:
 
     def edge_id(self, u: int, v: int) -> int:
         """Edge id of (u, v); raises KeyError if absent."""
-        return self.nbr_edge[u][v]
-
-    def edge_endpoints(self, eid: int) -> tuple[int, int]:
-        return self.edges[eid]
+        return self.neighbors[u][v]
 
     def other_endpoint(self, eid: int, v: int) -> int:
         a, b = self.edges[eid]
         return b if a == v else a
-
-
-@dataclass(frozen=True)
-class DistVector:
-    """Hop distances from a single source vertex."""
-
-    source: int
-    dist: list
 
 
 @dataclass(frozen=True)
@@ -113,8 +99,7 @@ def build_graph(n: int, edges: Sequence[tuple[int, int]],
         adj_lists[u].append((v, i))
         adj_lists[v].append((u, i))
 
-    for v in range(n):
-        adj_lists[v].sort()
+    neighbors = tuple(dict(sorted(lst)) for lst in adj_lists)
 
     # connectivity
     if n > 1:
@@ -124,7 +109,7 @@ def build_graph(n: int, edges: Sequence[tuple[int, int]],
         stack = [0]
         while stack:
             x = stack.pop()
-            for y, _ in adj_lists[x]:
+            for y in neighbors[x]:
                 if not mark[y]:
                     mark[y] = 1
                     reached += 1
@@ -133,13 +118,8 @@ def build_graph(n: int, edges: Sequence[tuple[int, int]],
             raise GraphValidationError(
                 f"graph is disconnected: reached {reached} of {n} vertices from vertex 0")
 
-    return Graph(
-        n=n,
-        edges=tuple((u, v) for u, v in edges),
-        adj=tuple(tuple(lst) for lst in adj_lists),
-        neighbors=tuple(tuple(x for x, _ in lst) for lst in adj_lists),
-        nbr_edge=tuple({x: e for x, e in lst} for lst in adj_lists),
-    )
+    return Graph(n=n, edges=tuple((u, v) for u, v in edges),
+                 neighbors=neighbors)
 
 
 def load_graph(text: str) -> Graph:
@@ -198,8 +178,8 @@ def save_graph(g: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def bfs(g: Graph, source: int) -> DistVector:
-    """Exact hop distances from ``source``.
+def bfs(g: Graph, source: int) -> list:
+    """Exact hop distances from ``source``, indexed by vertex.
 
     Adjacency is sorted by vertex id, so discovery within a level follows
     ascending ids; callers that need an explicit level order sort by
@@ -218,7 +198,7 @@ def bfs(g: Graph, source: int) -> DistVector:
             if dist[y] < 0:
                 dist[y] = dx
                 queue.append(y)
-    return DistVector(source=source, dist=dist)
+    return dist
 
 
 def check_bipartite(g: Graph) -> BipartiteCheck:

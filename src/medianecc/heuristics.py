@@ -24,9 +24,9 @@ def _farthest(dist: list) -> int:
 
 def sweep2(g: Graph, start: int) -> SweepResult:
     """BFS twice: a = farthest from start, b = farthest from a."""
-    da = bfs(g, start).dist
+    da = bfs(g, start)
     a = _farthest(da)
-    db = bfs(g, a).dist
+    db = bfs(g, a)
     b = _farthest(db)
     return SweepResult(a=a, b=b, distance=db[b])
 
@@ -40,7 +40,7 @@ def sweep4(g: Graph, start: int) -> SweepResult:
     which is the choice that keeps the known adversarial runs adversarial).
     """
     first = sweep2(g, start)
-    da = bfs(g, first.a).dist
+    da = bfs(g, first.a)
     path = [first.b]
     cur = first.b
     while cur != first.a:

@@ -8,10 +8,7 @@ at u, i.e. the possible first steps of shortest (u, v)-paths.
 """
 from __future__ import annotations
 
-from typing import Optional
-
 from .cubes import CubeIndex
-from .graph import Graph, bfs
 from .theta import ThetaDecomposition
 
 
@@ -57,22 +54,3 @@ def compute_phi(index: CubeIndex, theta: ThetaDecomposition) -> None:
                 if cand > phi[t]:
                     phi[t] = cand
                     mu[t] = wit
-
-
-def ladder_set_oracle(g: Graph, theta: ThetaDecomposition, u: int, v: int,
-                      dist_from_v: Optional[list] = None) -> tuple:
-    """Reference ladder set of (u, v), requiring u between v0 and v.
-
-    A class incident to u separates u from v exactly when the matched
-    neighbor is strictly closer to v, so one BFS from v suffices. Test-side
-    only; the label passes never call this.
-    """
-    dv = dist_from_v if dist_from_v is not None else bfs(g, v).dist
-    if theta.dist0[u] + dv[u] != theta.dist0[v]:
-        raise ValueError(
-            f"vertex {u} is not between the basepoint and vertex {v}")
-    du = dv[u]
-    edge_class = theta.edge_class
-    out = [edge_class[eid] for x, eid in g.adj[u] if dv[x] == du - 1]
-    out.sort()
-    return tuple(out)

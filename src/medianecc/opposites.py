@@ -10,41 +10,15 @@ graph diameter, realized by the two witnesses.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
-
 from .cubes import CubeIndex
-
-
-@dataclass(frozen=True)
-class WeightedPofSet:
-    """Outgoing pofs of one vertex with their weights.
-
-    ``entries`` holds (pof, weight, record id) triples and always contains
-    the empty pof (weight 0), which realizes pairs where the owner itself
-    is an endpoint. ``record id`` may be -1 for synthetic sets.
-    """
-
-    owner: int
-    entries: tuple
-
-    @property
-    def size(self) -> int:
-        return len(self.entries)
-
-    @classmethod
-    def from_index(cls, index: CubeIndex, m: int) -> "WeightedPofSet":
-        entries = tuple((index.pof[r], index.phi[r], r)
-                        for r in index.outgoing[m])
-        return cls(owner=m, entries=entries)
 
 
 class _Node:
     __slots__ = ("pof", "pof_set", "rid", "blocked", "children")
 
-    def __init__(self, pof, pof_set, rid, blocked):
+    def __init__(self, pof, rid, blocked):
         self.pof = pof
-        self.pof_set = pof_set
+        self.pof_set = frozenset(pof)
         self.rid = rid
         self.blocked = blocked
         self.children: dict = {}
@@ -53,18 +27,18 @@ class _Node:
 class OppositeTree:
     """Search tree answering opposite queries for one vertex.
 
-    Nodes materialize on first use; a node's index depends only on its
-    blocked class set, so the lazily built tree is a prefix of the fully
-    expanded one. Argmax ties prefer smaller pofs, then lexicographic
-    class lists.
+    Built from that vertex's outgoing ``(pof, weight, record id)`` triples,
+    which must include the empty pof (weight 0): it realizes pairs where
+    the vertex itself is an endpoint. Nodes materialize on first use; a
+    node's index depends only on its blocked class set, so the lazily built
+    tree is a prefix of the fully expanded one. Argmax ties prefer smaller
+    pofs, then lexicographic class lists.
     """
 
-    def __init__(self, weights: WeightedPofSet):
-        self.owner = weights.owner
-        self._ranked = sorted(weights.entries,
-                              key=lambda e: (-e[1], len(e[0]), e[0]))
+    def __init__(self, entries):
+        self._ranked = sorted(entries, key=lambda e: (-e[1], len(e[0]), e[0]))
         pof, _, rid = self._ranked[0]
-        self.root = _Node(pof, frozenset(pof), rid, frozenset())
+        self.root = _Node(pof, rid, frozenset())
         self.node_count = 1
 
     def _best_avoiding(self, blocked: frozenset):
@@ -73,71 +47,27 @@ class OppositeTree:
                 return pof, rid
         raise AssertionError("the empty pof avoids every blocked set")
 
-    def _descend(self, pof: tuple) -> _Node:
+    def _child(self, node: _Node, cls: int) -> _Node:
+        """The child of ``node`` that also blocks ``cls``, made on demand."""
+        child = node.children.get(cls)
+        if child is None:
+            blocked = node.blocked | {cls}
+            child = _Node(*self._best_avoiding(blocked), blocked)
+            node.children[cls] = child
+            self.node_count += 1
+        return child
+
+    def opposite_record(self, pof: tuple) -> int:
+        """Record id of the max-weight pof disjoint from ``pof``."""
         node = self.root
         while True:
-            shared = -1
             pof_set = node.pof_set
             for c in pof:  # ascending, so the smallest shared class wins
                 if c in pof_set:
-                    shared = c
+                    node = self._child(node, c)
                     break
-            if shared < 0:
-                return node
-            child = node.children.get(shared)
-            if child is None:
-                blocked = node.blocked | {shared}
-                cp, crid = self._best_avoiding(blocked)
-                child = _Node(cp, frozenset(cp), crid, blocked)
-                node.children[shared] = child
-                self.node_count += 1
-            node = child
-
-    def opposite(self, pof: tuple) -> tuple:
-        """Max-weight pof disjoint from ``pof``."""
-        return self._descend(pof).pof
-
-    def opposite_record(self, pof: tuple) -> int:
-        """Record id of the opposite (requires index-backed entries)."""
-        return self._descend(pof).rid
-
-    def expand_fully(self, extension_ok: Callable) -> None:
-        """Materialize every node; test-side structural checks only.
-
-        ``extension_ok(blocked, cls)`` must say whether ``blocked | {cls}``
-        is still pairwise orthogonal.
-        """
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            for c in node.pof:
-                if c not in node.children and extension_ok(node.blocked, c):
-                    blocked = node.blocked | {c}
-                    cp, crid = self._best_avoiding(blocked)
-                    child = _Node(cp, frozenset(cp), crid, blocked)
-                    node.children[c] = child
-                    self.node_count += 1
-            stack.extend(node.children.values())
-
-    def depth(self) -> int:
-        best = 0
-        stack = [(self.root, 0)]
-        while stack:
-            node, d = stack.pop()
-            if d > best:
-                best = d
-            stack.extend((ch, d + 1) for ch in node.children.values())
-        return best
-
-
-def build_tree(weights: WeightedPofSet) -> OppositeTree:
-    """Opposite-query tree for one vertex's weighted pof set."""
-    return OppositeTree(weights)
-
-
-def find_opposite(tree: OppositeTree, pof: tuple) -> tuple:
-    """Opposite of an outgoing pof: max weight among those disjoint from it."""
-    return tree.opposite(tuple(pof))
+            else:
+                return node.rid
 
 
 def compute_opposites(index: CubeIndex) -> None:
@@ -146,28 +76,18 @@ def compute_opposites(index: CubeIndex) -> None:
     Stored in ``index.opp``; trees are transient, the memoized record ids
     are what the later passes need.
     """
+    pofs, phi = index.pof, index.phi
     opp = [0] * len(index)
-    for m in range(index.n):
-        rids = index.outgoing[m]
-        tree = OppositeTree(WeightedPofSet.from_index(index, m))
+    for rids in index.outgoing:
+        tree = OppositeTree((pofs[r], phi[r], r) for r in rids)
         for r in rids:
-            opp[r] = tree.opposite_record(index.pof[r])
+            opp[r] = tree.opposite_record(pofs[r])
     index.opp = opp
 
 
-@dataclass(frozen=True)
-class UpsilonResult:
-    """Best down-up distance through one vertex, with its witnesses."""
-
-    value: int
-    pof: tuple
-    opposite: tuple
-    endpoint_a: int
-    endpoint_b: int
-
-
-def upsilon(index: CubeIndex, m: int) -> UpsilonResult:
-    """Largest d(u, v) over pairs whose basepoint median is m.
+def upsilon(index: CubeIndex, m: int) -> tuple:
+    """Largest d(u, v) over pairs whose basepoint median is m, as
+    (value, (u, v)).
 
     Scans every outgoing record paired with its opposite; the empty pof
     covers pairs where m itself is an endpoint. Requires
@@ -175,7 +95,7 @@ def upsilon(index: CubeIndex, m: int) -> UpsilonResult:
     """
     if index.opp is None:
         raise RuntimeError("compute_opposites must run before upsilon")
-    opp, phi, mu, pofs = index.opp, index.phi, index.mu, index.pof
+    opp, phi, mu = index.opp, index.phi, index.mu
     best = -1
     best_r = best_o = -1
     for r in index.outgoing[m]:
@@ -184,8 +104,7 @@ def upsilon(index: CubeIndex, m: int) -> UpsilonResult:
         if val > best:
             best = val
             best_r, best_o = r, o
-    return UpsilonResult(value=best, pof=pofs[best_r], opposite=pofs[best_o],
-                         endpoint_a=mu[best_r], endpoint_b=mu[best_o])
+    return best, (mu[best_r], mu[best_o])
 
 
 def diameter_via_upsilon(index: CubeIndex) -> tuple:
@@ -194,11 +113,5 @@ def diameter_via_upsilon(index: CubeIndex) -> tuple:
     Deterministic: the smallest vertex m attaining the maximum wins, and
     within it the earliest record pair in enumeration order.
     """
-    best = -1
-    pair = (0, 0)
-    for m in range(index.n):
-        res = upsilon(index, m)
-        if res.value > best:
-            best = res.value
-            pair = (res.endpoint_a, res.endpoint_b)
-    return best, pair
+    return max((upsilon(index, m) for m in range(index.n)),
+               key=lambda res: res[0])

@@ -1,5 +1,6 @@
 """Brute-force ground truth: all-pairs distances, eccentricities, median
-verdicts, convexity and gatedness.
+verdicts, convexity and gatedness, and the BFS-based halfspace, ladder-set
+and milestone references for the pipeline's structural lemmas.
 
 Everything here is definitional and independent of the label pipeline, so
 it can be used to check it. Distances come from per-source unit-weight
@@ -15,7 +16,8 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
 from .eccentricity import EccReport
-from .graph import Graph
+from .graph import Graph, bfs
+from .theta import NonMedianGraphError, ThetaDecomposition
 
 
 def _adjacency(g: Graph) -> csr_matrix:
@@ -43,9 +45,12 @@ def distance_matrix(g: Graph, budget: int = 5000) -> np.ndarray:
 def brute_eccentricities(g: Graph, budget: int = 5000) -> EccReport:
     """Exact eccentricity report from the full distance matrix.
 
-    Witness per vertex is the smallest farthest id; the diametral pair and
-    center take the smallest achieving vertex, matching the label pipeline's
-    tie-breaks.
+    ``ecc``, ``diameter``, ``radius``, ``center_vertex`` and
+    ``diametral_pair[0]`` equal the label pipeline's, which also takes the
+    smallest achieving vertex. The witnesses match it only in distance:
+    here each is the smallest farthest id, while the pipeline picks the
+    smallest id among the records attaining the maximum, which can be a
+    different farthest vertex.
     """
     d = distance_matrix(g, budget)
     ecc = d.max(axis=1)
@@ -178,3 +183,85 @@ def is_gated(g: Graph, subset: Iterable, dist: Optional[np.ndarray] = None,
         if not gates.any():
             return False
     return True
+
+
+def halfspace_sides(g: Graph, theta: ThetaDecomposition, cls: int) -> list:
+    """Side of the given class's cut for each vertex; True = away from v0.
+
+    Uses the representative edge (u, v) of the class with u closer to v0:
+    a vertex belongs to the far side exactly when it is strictly closer
+    to v. A distance tie contradicts bipartiteness and raises.
+    """
+    if not (0 <= cls < theta.q):
+        raise ValueError(f"class id {cls} out of range 0..{theta.q - 1}")
+    eid = theta.class_edges[cls][0]
+    u, v = g.edges[eid]
+    if theta.dist0[u] > theta.dist0[v]:
+        u, v = v, u
+    du = bfs(g, u)
+    dv = bfs(g, v)
+    side = [False] * g.n
+    for x in range(g.n):
+        if du[x] == dv[x]:
+            raise NonMedianGraphError(
+                f"vertex {x} is equidistant from both endpoints of an edge "
+                f"of class {cls}")
+        side[x] = dv[x] < du[x]
+    return side
+
+
+def ladder_set_oracle(g: Graph, theta: ThetaDecomposition, u: int, v: int,
+                      dist_from_v: Optional[list] = None) -> tuple:
+    """Reference ladder set of (u, v), requiring u between v0 and v.
+
+    A class incident to u separates u from v exactly when the matched
+    neighbor is strictly closer to v, so one BFS from v suffices.
+    """
+    dv = dist_from_v if dist_from_v is not None else bfs(g, v)
+    if theta.dist0[u] + dv[u] != theta.dist0[v]:
+        raise ValueError(
+            f"vertex {u} is not between the basepoint and vertex {v}")
+    du = dv[u]
+    edge_class = theta.edge_class
+    out = [edge_class[eid] for x, eid in g.neighbors[u].items()
+           if dv[x] == du - 1]
+    out.sort()
+    return tuple(out)
+
+
+def milestones_oracle(g: Graph, theta: ThetaDecomposition, u: int,
+                      v: int) -> list:
+    """Reference jump chain from u up to v (u between v0 and v required).
+
+    Repeatedly hop through the hypercube spanned by the current vertex's
+    ladder classes toward v; the chain records each landing vertex and ends
+    at v.
+    """
+    dv = bfs(g, v)
+    if theta.dist0[u] + dv[u] != theta.dist0[v]:
+        raise ValueError(
+            f"vertex {u} is not between the basepoint and vertex {v}")
+    incident = theta.incident
+    edge_class = theta.edge_class
+    chain = [u]
+    cur = u
+    for _ in range(g.n + 1):
+        if cur == v:
+            return chain
+        ladder = sorted(edge_class[eid] for x, eid in g.neighbors[cur].items()
+                        if dv[x] == dv[cur] - 1)
+        nxt = cur
+        for c in ladder:
+            eid = incident[nxt].get(c)
+            if eid is None:
+                raise NonMedianGraphError(
+                    f"jump from vertex {cur} stalled: no edge of class {c} "
+                    f"at vertex {nxt}")
+            nxt = g.other_endpoint(eid, nxt)
+        if dv[nxt] != dv[cur] - len(ladder):
+            raise NonMedianGraphError(
+                f"jump from vertex {cur} did not move {len(ladder)} steps "
+                f"toward vertex {v}")
+        chain.append(nxt)
+        cur = nxt
+    raise NonMedianGraphError("jump chain exceeded the vertex count")

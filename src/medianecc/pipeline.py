@@ -3,7 +3,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Optional
 
 from .cubes import CubeIndex, enumerate_cubes
 from .eccentricity import EccReport, compute_psi, eccentricities
@@ -20,7 +19,7 @@ class PipelineResult:
     graph: Graph
     theta: ThetaDecomposition
     index: CubeIndex
-    report: Optional[EccReport]
+    report: EccReport
     timings: dict
 
     @property
@@ -28,38 +27,22 @@ class PipelineResult:
         return sum(self.timings.values())
 
 
-def run_pipeline(g: Graph, v0: int = 0, threads: int = 1,
-                 with_ecc: bool = True) -> PipelineResult:
-    """Run every stage, recording per-stage wall time.
-
-    ``with_ecc=False`` stops after the opposites (enough for the diameter).
-    """
+def run_pipeline(g: Graph, v0: int = 0) -> PipelineResult:
+    """Run every stage, recording per-stage wall time under its STAGES
+    name."""
     timings = {}
-    t = time.perf_counter()
-    theta = compute_theta(g, v0)
-    timings["theta"] = time.perf_counter() - t
 
-    t = time.perf_counter()
-    index = enumerate_cubes(g, theta)
-    timings["cubes"] = time.perf_counter() - t
-
-    t = time.perf_counter()
-    compute_phi(index, theta)
-    timings["phi"] = time.perf_counter() - t
-
-    t = time.perf_counter()
-    compute_opposites(index)
-    timings["opposites"] = time.perf_counter() - t
-
-    report = None
-    if with_ecc:
+    def timed(stage, fn, *args):
         t = time.perf_counter()
-        compute_psi(index, theta)
-        timings["psi"] = time.perf_counter() - t
+        out = fn(*args)
+        timings[stage] = time.perf_counter() - t
+        return out
 
-        t = time.perf_counter()
-        report = eccentricities(index, threads=threads)
-        timings["ecc"] = time.perf_counter() - t
-
+    theta = timed("theta", compute_theta, g, v0)
+    index = timed("cubes", enumerate_cubes, g, theta)
+    timed("phi", compute_phi, index, theta)
+    timed("opposites", compute_opposites, index)
+    timed("psi", compute_psi, index, theta)
+    report = timed("ecc", eccentricities, index)
     return PipelineResult(graph=g, theta=theta, index=index, report=report,
                           timings=timings)

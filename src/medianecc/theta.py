@@ -1,4 +1,4 @@
-"""Theta classes of a median graph, basepoint orientation, and halfspaces.
+"""Theta classes of a median graph and their basepoint orientation.
 
 Two edges are related when they are opposite sides of some 4-cycle; the
 theta classes are the transitive closure of that relation. On median input
@@ -40,15 +40,6 @@ class ThetaDecomposition:
     incident: tuple
     in_classes: tuple
     out_classes: tuple
-    ortho_pairs: frozenset
-
-
-@dataclass(frozen=True)
-class HalfspaceSides:
-    """Side bit per vertex for one class; True = the side away from v0."""
-
-    cls: int
-    side: list
 
 
 def compute_theta(g: Graph, v0: int = 0) -> ThetaDecomposition:
@@ -62,7 +53,7 @@ def compute_theta(g: Graph, v0: int = 0) -> ThetaDecomposition:
     """
     if not (0 <= v0 < g.n):
         raise ValueError(f"basepoint {v0} out of range 0..{g.n - 1}")
-    dist0 = bfs(g, v0).dist
+    dist0 = bfs(g, v0)
     edges = g.edges
     m = g.m
 
@@ -88,20 +79,19 @@ def compute_theta(g: Graph, v0: int = 0) -> ThetaDecomposition:
             else:
                 parent[ra] = rb
 
-    square_pairs: list = []
-    nbr_edge = g.nbr_edge
+    neighbors = g.neighbors
     for z in range(g.n):
         dz = dist0[z]
-        inn = [(x, e) for x, e in g.adj[z] if dist0[x] < dz]
+        inn = [(x, e) for x, e in neighbors[z].items() if dist0[x] < dz]
         if len(inn) < 2:
             continue
         target = dz - 2
         for i in range(len(inn) - 1):
             a, ea = inn[i]
-            na = nbr_edge[a]
+            na = neighbors[a]
             for j in range(i + 1, len(inn)):
                 b, eb = inn[j]
-                nb = nbr_edge[b]
+                nb = neighbors[b]
                 src, other = (na, nb) if len(na) <= len(nb) else (nb, na)
                 w = -1
                 for x in src:
@@ -117,7 +107,6 @@ def compute_theta(g: Graph, v0: int = 0) -> ThetaDecomposition:
                         f"close no square")
                 union(ea, nb[w])
                 union(eb, na[w])
-                square_pairs.append((ea, eb))
 
     # canonical class ids: ascending minimum edge id
     root_to_cls: dict = {}
@@ -165,11 +154,6 @@ def compute_theta(g: Graph, v0: int = 0) -> ThetaDecomposition:
         in_classes.append(tuple(ins))
         out_classes.append(tuple(outs))
 
-    ortho = set()
-    for ea, eb in square_pairs:
-        ca, cb = edge_class[ea], edge_class[eb]
-        ortho.add((ca, cb) if ca < cb else (cb, ca))
-
     return ThetaDecomposition(
         v0=v0,
         dist0=dist0,
@@ -179,38 +163,4 @@ def compute_theta(g: Graph, v0: int = 0) -> ThetaDecomposition:
         incident=tuple(incident),
         in_classes=tuple(in_classes),
         out_classes=tuple(out_classes),
-        ortho_pairs=frozenset(ortho),
     )
-
-
-def orthogonal(theta: ThetaDecomposition, i: int, j: int) -> bool:
-    """True when classes i and j appear on opposite sides of one square."""
-    if i == j:
-        raise ValueError("orthogonality is defined for distinct classes")
-    return ((i, j) if i < j else (j, i)) in theta.ortho_pairs
-
-
-def halfspace_sides(g: Graph, theta: ThetaDecomposition,
-                    cls: int) -> HalfspaceSides:
-    """Assign each vertex to a side of the given class's cut.
-
-    Uses the representative edge (u, v) of the class with u closer to v0:
-    a vertex belongs to the far side exactly when it is strictly closer
-    to v. A distance tie contradicts bipartiteness and raises.
-    """
-    if not (0 <= cls < theta.q):
-        raise ValueError(f"class id {cls} out of range 0..{theta.q - 1}")
-    eid = theta.class_edges[cls][0]
-    u, v = g.edges[eid]
-    if theta.dist0[u] > theta.dist0[v]:
-        u, v = v, u
-    du = bfs(g, u).dist
-    dv = bfs(g, v).dist
-    side = [False] * g.n
-    for x in range(g.n):
-        if du[x] == dv[x]:
-            raise NonMedianGraphError(
-                f"vertex {x} is equidistant from both endpoints of an edge "
-                f"of class {cls}")
-        side[x] = dv[x] < du[x]
-    return HalfspaceSides(cls=cls, side=side)

@@ -6,13 +6,13 @@ label pipeline it is used to check.
 from __future__ import annotations
 
 from medianecc import (bfs, cartesian_product, fixture, gen_grid,
-                       gen_hypercube, gen_tree, ladder_set_oracle, orthogonal,
-                       peripheral_expansion)
+                       gen_hypercube, gen_tree, peripheral_expansion)
+from medianecc.oracle import ladder_set_oracle
 
 
 def quick_dimension(g):
     """Largest ingoing-degree under the vertex-0 orientation (= dimension)."""
-    dist = bfs(g, 0).dist
+    dist = bfs(g, 0)
     best = 0
     for v in range(g.n):
         k = sum(1 for x in g.neighbors[v] if dist[x] < dist[v])
@@ -33,8 +33,8 @@ def djokovic_classes(g):
         if assigned[eid] >= 0:
             continue
         u, v = g.edges[eid]
-        du = bfs(g, u).dist
-        dv = bfs(g, v).dist
+        du = bfs(g, u)
+        dv = bfs(g, v)
         group = []
         for e2, (x, y) in enumerate(g.edges):
             if assigned[e2] < 0 and (du[x] < dv[x]) != (du[y] < dv[y]):
@@ -75,13 +75,56 @@ def median_of(dist, x, y, z):
     return meds[0]
 
 
-def is_pof(theta, classes):
+def ortho_pairs(index):
+    """Orthogonal class pairs (i, j), i < j: the class sets of the 2-cubes."""
+    return {p for p in index.pof if len(p) == 2}
+
+
+def orthogonal(pairs, i, j):
+    """True when classes i and j appear on opposite sides of one square."""
+    if i == j:
+        raise ValueError("orthogonality is defined for distinct classes")
+    return ((i, j) if i < j else (j, i)) in pairs
+
+
+def is_pof(pairs, classes):
     classes = tuple(classes)
     for i in range(len(classes)):
         for j in range(i + 1, len(classes)):
-            if not orthogonal(theta, classes[i], classes[j]):
+            if not orthogonal(pairs, classes[i], classes[j]):
                 return False
     return True
+
+
+def record_id(index, pof, basis=None, anti_basis=None):
+    """Id of the record with class set ``pof`` at the given basis, or at
+    the given anti-basis; also asserts no two records share a basis and a
+    class set."""
+    keys = list(zip(index.basis, index.pof))
+    assert len(set(keys)) == len(keys), "two cubes share basis and classes"
+    ends, v = ((index.basis, basis) if anti_basis is None
+               else (index.anti_basis, anti_basis))
+    for r in range(len(index)):
+        if ends[r] == v and index.pof[r] == tuple(pof):
+            return r
+    raise KeyError(f"no hypercube at vertex {v} with classes {tuple(pof)}")
+
+
+def expand_tree(tree, extension_ok):
+    """Materialize every node of an OppositeTree; return the tree depth.
+
+    ``extension_ok(blocked, cls)`` must say whether ``blocked | {cls}`` is
+    still pairwise orthogonal; children the queries already made are kept.
+    """
+    depth = 0
+    stack = [(tree.root, 0)]
+    while stack:
+        node, d = stack.pop()
+        depth = max(depth, d)
+        for c in node.pof:
+            if c in node.children or extension_ok(node.blocked, c):
+                stack.append((tree._child(node, c), d + 1))
+    return depth
 
 
 def small_corpus_graphs():

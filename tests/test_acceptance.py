@@ -9,15 +9,14 @@ import time
 
 import pytest
 
-from helpers import acceptance_corpus_graphs
+from helpers import acceptance_corpus_graphs, ortho_pairs, orthogonal
 
-from medianecc import (bfs, fixture, gen_grid, gen_hypercube,
-                       halfspace_sides, ladder_set_oracle, milestones_oracle,
-                       orthogonal, pof_extension_ok, run_pipeline, sweep2,
-                       sweep4)
+from medianecc import (bfs, fixture, gen_grid, gen_hypercube, run_pipeline,
+                       sweep2, sweep4)
 from medianecc.opposites import diameter_via_upsilon
-from medianecc.oracle import brute_eccentricities, distance_matrix, is_convex, \
-    is_gated
+from medianecc.oracle import (brute_eccentricities, distance_matrix,
+                              halfspace_sides, is_convex, is_gated,
+                              ladder_set_oracle, milestones_oracle)
 
 
 @pytest.fixture(scope="module")
@@ -127,13 +126,13 @@ def test_criterion_5_structural_suites(corpus):
 def _check_halfspaces(g, theta, dist):
     count = 0
     for c in range(theta.q):
-        sides = halfspace_sides(g, theta, c)
-        near = [v for v in range(g.n) if not sides.side[v]]
-        far = [v for v in range(g.n) if sides.side[v]]
+        side = halfspace_sides(g, theta, c)
+        near = [v for v in range(g.n) if not side[v]]
+        far = [v for v in range(g.n) if side[v]]
         boundary_near, boundary_far = [], []
         for eid in theta.class_edges[c]:
             u, v = g.edges[eid]
-            if sides.side[u]:
+            if side[u]:
                 u, v = v, u
             boundary_near.append(u)
             boundary_far.append(v)
@@ -184,6 +183,7 @@ def _check_disjoint_ladders_iff_between(g, theta, dist, rng):
 def _check_penultimate_equivalence(g, theta, index, dist, rng):
     count = 0
     dist0 = theta.dist0
+    pairs = ortho_pairs(index)
     for _ in range(15):
         v = rng.randrange(g.n)
         above_v = [u for u in range(g.n)
@@ -200,7 +200,7 @@ def _check_penultimate_equivalence(g, theta, index, dist, rng):
                 continue
             w = index.anti_basis[rid]
             cond_iii = all(
-                not all(orthogonal(theta, c, x) for x in lbar)
+                not all(orthogonal(pairs, c, x) for x in lbar)
                 for c in pof)
             chain_uw = milestones_oracle(g, theta, u, w)
             cond_i = chain_uw[-2] == v
@@ -211,6 +211,7 @@ def _check_penultimate_equivalence(g, theta, index, dist, rng):
 
 def _check_extension_contexts(g, theta, index):
     count = 0
+    pairs = ortho_pairs(index)
     for rid in range(len(index)):
         L = index.pof[rid]
         if not L:
@@ -221,8 +222,8 @@ def _check_extension_contexts(g, theta, index):
                 continue
             w = index.basis[t]
             for c in L:
-                fast = pof_extension_ok(theta, w, c)
-                slow = all(orthogonal(theta, c, x) for x in X)
+                fast = c in theta.incident[w]
+                slow = all(orthogonal(pairs, c, x) for x in X)
                 assert fast == slow, (rid, t, c)
                 count += 1
     return count
@@ -258,6 +259,6 @@ def test_criterion_7_diameter_agreement(corpus_results):
     for name, g, res, ora in results:
         via_upsilon, pair = diameter_via_upsilon(res.index)
         assert via_upsilon == max(res.report.ecc) == ora.diameter, name
-        assert bfs(g, pair[0]).dist[pair[1]] == via_upsilon, name
+        assert bfs(g, pair[0])[pair[1]] == via_upsilon, name
     print(f"\ncriterion 7 PASS: diameter agreement exact on "
           f"{len(results)} graphs")

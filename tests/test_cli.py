@@ -1,9 +1,13 @@
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
 
 from medianecc import fixture, save_graph
 from medianecc.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 @pytest.fixture()
@@ -35,11 +39,6 @@ def test_ecc_csv(gstar_file, tmp_path, capsys):
     assert lines[0] == "vertex,ecc,witness"
     assert lines[1] == "0,3,4"
     assert len(lines) == 6
-
-
-def test_ecc_threads_flag(gstar_file, capsys):
-    assert main(["ecc", gstar_file, "--threads", "3"]) == 0
-    assert "diameter 3" in capsys.readouterr().out
 
 
 def test_sweep_output(gstar_file, hstar_file, capsys):
@@ -124,10 +123,15 @@ def test_bench_csv_format(tmp_path):
     assert main(["bench", "--kind", "grid", "--sizes", "100,200",
                  "--csv", str(out)]) == 0
     lines = out.read_text().strip().splitlines()
-    assert lines[0].startswith("size,d,time_theta,time_cubes,time_phi")
+    assert lines[0] == ("size,d,time_theta,time_cubes,time_phi,"
+                        "time_opposites,time_psi,time_ecc,total")
     assert len(lines) == 3
     first = lines[1].split(",")
     assert int(first[0]) == 100 and int(first[1]) == 2
+    for row in lines[1:]:
+        times = [float(x) for x in row.split(",")[2:]]
+        # seven fields, each rounded to 6 decimals
+        assert abs(sum(times[:-1]) - times[-1]) <= 7 * 0.5e-6 + 1e-9, row
 
 
 def test_bench_doubling_range(capsys):
@@ -157,3 +161,17 @@ def test_usage_error_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+def test_golden_outputs_replay_byte_for_byte(tmp_path, capsys):
+    cases = sorted(p.stem for p in GOLDEN.glob("*.txt"))
+    assert len(cases) == 8
+    for case in cases:
+        graph = str(GOLDEN / f"{case}.txt")
+        csv = tmp_path / f"{case}.csv"
+        for cmd, extra in [("theta", []), ("cubes", []), ("phi", ["--dump"]),
+                           ("diam", []), ("ecc", ["--csv", str(csv)])]:
+            assert main([cmd, graph] + extra) == 0
+            want = (GOLDEN / f"{case}.{cmd}.out").read_bytes()
+            assert capsys.readouterr().out.encode() == want, (case, cmd)
+        assert csv.read_bytes() == (GOLDEN / f"{case}.ecc.csv").read_bytes()

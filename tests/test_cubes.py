@@ -4,12 +4,11 @@ from dataclasses import replace
 
 import pytest
 
-from helpers import is_pof
+from helpers import is_pof, ortho_pairs, record_id
 
 from medianecc import (NonMedianGraphError, bfs, build_graph, compute_theta,
                        enumerate_cubes, fixture, gen_grid, gen_hypercube,
-                       load_graph, lookup_by_antibasis, lookup_by_basis,
-                       pof_extension_ok)
+                       load_graph)
 
 
 def _index_for(g, v0=0):
@@ -47,7 +46,7 @@ def test_fig3_pof_bijection_table():
     # the full ingoing set of each vertex is its pof under the bijection
     for v, pof in expected.items():
         assert theta.in_classes[v] == pof
-        lookup_by_antibasis(index, v, pof)
+        record_id(index, pof, anti_basis=v)
     assert index.distinct_pofs() == set(expected.values())
 
 
@@ -55,40 +54,40 @@ def test_pof_extension_examples():
     g = fixture("fig3")
     theta, _ = _index_for(g, 0)
     e1 = theta.edge_class[g.edge_id(0, 2)]
-    assert pof_extension_ok(theta, 0, e1)
+    assert e1 in theta.incident[0]
 
     tree = build_graph(4, [(0, 1), (1, 2), (2, 3)])
     ttheta = compute_theta(tree, 0)
     far_class = ttheta.edge_class[tree.edge_id(2, 3)]
-    assert not pof_extension_ok(ttheta, 0, far_class)
+    assert far_class not in ttheta.incident[0]
 
     grid = gen_grid(2, 3)  # columns 0..2; middle cut between columns 1 and 2
     gtheta = compute_theta(grid, 0)
     far_cut = gtheta.edge_class[grid.edge_id(1, 2)]
-    assert not pof_extension_ok(gtheta, 0, far_cut)
-    assert pof_extension_ok(gtheta, 1, far_cut)
+    assert far_cut not in gtheta.incident[0]
+    assert far_cut in gtheta.incident[1]
 
 
 def test_lookup_roundtrips():
     g = fixture("fig3")
     theta, index = _index_for(g, 0)
-    rid = lookup_by_basis(index, 0, ())
+    rid = record_id(index, (), basis=0)
     assert index.basis[rid] == 0 and index.anti_basis[rid] == 0
 
     e1, e3 = (theta.edge_class[g.edge_id(0, 2)],
               theta.edge_class[g.edge_id(0, 1)])
     square = tuple(sorted((e1, e3)))
-    rid = lookup_by_antibasis(index, 3, square)
+    rid = record_id(index, square, anti_basis=3)
     assert index.basis[rid] == 0  # square 0-1-3-2 hangs from the basepoint
 
     q3 = gen_hypercube(3)
     q3theta, q3index = _index_for(q3, 0)
     full = tuple(range(q3theta.q))
-    rid = lookup_by_basis(q3index, 0, full)
+    rid = record_id(q3index, full, basis=0)
     assert q3index.anti_basis[rid] == 7
 
     with pytest.raises(KeyError, match="no hypercube"):
-        lookup_by_basis(index, 7, (e1,))
+        record_id(index, (e1,), basis=7)
 
 
 def test_records_ordered_by_antibasis_level(small_corpus):
@@ -109,7 +108,7 @@ def test_record_geometry_against_bfs(small_corpus):
             anti = index.anti_basis[rid]
             pof = index.pof[rid]
             if basis not in dist_cache:
-                dist_cache[basis] = bfs(g, basis).dist
+                dist_cache[basis] = bfs(g, basis)
             assert dist_cache[basis][anti] == len(pof), (name, rid)
             _assert_full_cube(g, theta, basis, pof, name)
 
@@ -137,7 +136,8 @@ def test_counting_identities(small_corpus):
         theta, index = _index_for(g)
         distinct = index.distinct_pofs()
         assert len(distinct) == g.n, name
-        assert all(is_pof(theta, p) for p in distinct if len(p) > 1)
+        pairs = ortho_pairs(index)
+        assert all(is_pof(pairs, p) for p in distinct if len(p) > 1)
         beta = index.beta_histogram()
         assert sum((1 << i) * b for i, b in enumerate(beta)) == len(index)
         assert len(index) <= (1 << index.dimension) * g.n, name

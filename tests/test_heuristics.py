@@ -51,7 +51,7 @@ def test_sweeps_are_realized_lower_bounds(small_corpus):
         for start in {0, g.n - 1, g.n // 2}:
             for res in (sweep2(g, start), sweep4(g, start)):
                 assert res.distance <= diam, (name, start)
-                assert bfs(g, res.a).dist[res.b] == res.distance, (name, start)
+                assert bfs(g, res.a)[res.b] == res.distance, (name, start)
 
 
 def test_sweep2_exact_on_corpus_trees(small_corpus):

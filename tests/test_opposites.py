@@ -5,12 +5,12 @@ import random
 
 import pytest
 
-from helpers import is_pof
+from helpers import expand_tree, is_pof, ortho_pairs, orthogonal
 
-from medianecc import (WeightedPofSet, build_tree, compute_phi,
-                       compute_opposites, compute_theta, diameter_via_upsilon,
-                       enumerate_cubes, find_opposite, fixture, gen_grid,
-                       gen_hypercube, gen_tree, orthogonal, upsilon)
+from medianecc import (compute_phi, compute_opposites, compute_theta,
+                       diameter_via_upsilon, enumerate_cubes, fixture,
+                       gen_grid, gen_hypercube, gen_tree, upsilon)
+from medianecc.opposites import OppositeTree
 from medianecc.oracle import brute_eccentricities
 
 
@@ -22,10 +22,19 @@ def _prepared(g, v0=0):
     return theta, index
 
 
-def _weights(entries):
-    """Synthetic weighted pof set; entries as {pof: weight}."""
-    rows = tuple((tuple(sorted(p)), w, -1) for p, w in entries.items())
-    return WeightedPofSet(owner=0, entries=rows)
+def _synthetic(entries):
+    """Tree over {pof: weight}, and its query returning the opposite pof."""
+    rows = [(tuple(sorted(p)), w, i)
+            for i, (p, w) in enumerate(entries.items())]
+    tree = OppositeTree(rows)
+    return tree, lambda pof: rows[tree.opposite_record(pof)][0]
+
+
+def _tree_at(index, m):
+    """Tree over m's outgoing records, and its query returning the pof."""
+    tree = OppositeTree((index.pof[r], index.phi[r], r)
+                        for r in index.outgoing[m])
+    return tree, lambda pof: index.pof[tree.opposite_record(pof)]
 
 
 def test_leaf_of_a_tree_has_the_empty_opposite():
@@ -34,26 +43,25 @@ def test_leaf_of_a_tree_has_the_empty_opposite():
     # basepoint at the leaf: its single edge points out, so its outgoing
     # pofs are () and the edge class
     theta, index = _prepared(g, v0=leaf)
-    tree = build_tree(WeightedPofSet.from_index(index, leaf))
+    tree, find_opposite = _tree_at(index, leaf)
     outgoing = [index.pof[r] for r in index.outgoing[leaf]]
     (single,) = [p for p in outgoing if p]
     assert len(single) == 1
     assert tree.root.pof == single
-    assert find_opposite(tree, single) == ()
-    assert find_opposite(tree, ()) == single
+    assert find_opposite(single) == ()
+    assert find_opposite(()) == single
 
 
 def test_nested_argmax_tree_and_opposite():
     i, j, h, r, ell = range(5)
-    weights = _weights({
+    tree, find_opposite = _synthetic({
         (): 0, (i,): 3, (j,): 3, (h,): 2, (r,): 2, (ell,): 6,
         (i, j): 10, (j, h): 4, (j, r): 4, (h, r): 4, (i, h): 4,
         (j, h, r): 9, (i, ell): 5,
     })
-    tree = build_tree(weights)
     assert tree.root.pof == (i, j)
-    assert find_opposite(tree, (i, ell)) == (j, h, r)
-    assert find_opposite(tree, ()) == (i, j)
+    assert find_opposite((i, ell)) == (j, h, r)
+    assert find_opposite(()) == (i, j)
 
     # fully expanded: the child reached through i is indexed (j, h, r)
     # and its child through h is indexed (ell,)
@@ -62,7 +70,7 @@ def test_nested_argmax_tree_and_opposite():
     def extension_ok(blocked, c):
         return all((min(c, b), max(c, b)) in pairs for b in blocked)
 
-    tree.expand_fully(extension_ok)
+    expand_tree(tree, extension_ok)
     child = tree.root.children[i]
     assert child.pof == (j, h, r)
     grandchild = child.children[h]
@@ -70,17 +78,15 @@ def test_nested_argmax_tree_and_opposite():
 
 
 def test_three_branch_star_weights():
-    weights = _weights({(): 0, (0,): 3, (1,): 2, (2,): 1})
-    tree = build_tree(weights)
+    tree, find_opposite = _synthetic({(): 0, (0,): 3, (1,): 2, (2,): 1})
     assert tree.root.pof == (0,)
-    assert find_opposite(tree, (0,)) == (1,)
-    assert find_opposite(tree, (1,)) == (0,)
-    assert find_opposite(tree, ()) == (0,)
+    assert find_opposite((0,)) == (1,)
+    assert find_opposite((1,)) == (0,)
+    assert find_opposite(()) == (0,)
 
 
 def test_argmax_tie_breaks_prefer_small_then_lexicographic():
-    weights = _weights({(): 0, (0,): 5, (1, 2): 5, (1,): 5, (2,): 4})
-    tree = build_tree(weights)
+    tree, _ = _synthetic({(): 0, (0,): 5, (1, 2): 5, (1,): 5, (2,): 4})
     assert tree.root.pof == (0,)  # weight tie broken by size, then lex
 
 
@@ -92,9 +98,9 @@ def test_opposites_match_quadratic_scan(small_corpus):
         rng.shuffle(vertices)
         for m in vertices[:12]:
             entries = [(index.pof[r], index.phi[r]) for r in index.outgoing[m]]
-            tree = build_tree(WeightedPofSet.from_index(index, m))
+            _, find_opposite = _tree_at(index, m)
             for pof, weight in entries:
-                got = find_opposite(tree, pof)
+                got = find_opposite(pof)
                 got_w = dict(entries)[got]
                 best = max(w for p, w in entries
                            if not set(p) & set(pof))
@@ -108,25 +114,26 @@ def test_tree_structure_bounds(small_corpus):
             continue
         theta, index = _prepared(g)
         d = index.dimension
+        pairs = ortho_pairs(index)
         for m in range(0, g.n, max(1, g.n // 10)):
-            tree = build_tree(WeightedPofSet.from_index(index, m))
+            tree, find_opposite = _tree_at(index, m)
             for r in index.outgoing[m]:
-                find_opposite(tree, index.pof[r])
-            tree.expand_fully(
-                lambda blocked, c: all(orthogonal(theta, c, b)
-                                       for b in blocked))
-            assert tree.depth() <= d, (name, m)
+                find_opposite(index.pof[r])
+            depth = expand_tree(
+                tree, lambda blocked, c: all(orthogonal(pairs, c, b)
+                                             for b in blocked))
+            assert depth <= d, (name, m)
             assert tree.node_count <= math.factorial(max(d, 1)) * 3, (name, m)
-            _check_nodes(tree, theta, index, m, name)
+            _check_nodes(tree, pairs, index, m, name)
 
 
-def _check_nodes(tree, theta, index, m, name):
+def _check_nodes(tree, pairs, index, m, name):
     entries = [(index.pof[r], index.phi[r]) for r in index.outgoing[m]]
     stack = [tree.root]
     while stack:
         node = stack.pop()
         blocked = node.blocked
-        assert is_pof(theta, tuple(sorted(blocked))), (name, m)
+        assert is_pof(pairs, tuple(sorted(blocked))), (name, m)
         assert not blocked & set(node.pof), (name, m)
         best = max(w for p, w in entries if not set(p) & blocked)
         node_w = dict((tuple(p), w) for p, w in entries)[node.pof]
@@ -138,9 +145,9 @@ def test_upsilon_is_at_least_the_best_single_label(small_corpus):
     for name, g in small_corpus[:10]:
         theta, index = _prepared(g)
         for m in range(0, g.n, max(1, g.n // 6)):
-            res = upsilon(index, m)
+            value, _ = upsilon(index, m)
             best_phi = max(index.phi[r] for r in index.outgoing[m])
-            assert res.value >= best_phi, (name, m)
+            assert value >= best_phi, (name, m)
 
 
 def test_upsilon_gstar_through_the_far_corner():
@@ -148,9 +155,9 @@ def test_upsilon_gstar_through_the_far_corner():
     # and the pendant side, the diametral pair bends exactly there
     g = fixture("gstar")
     theta, index = _prepared(g, v0=1)
-    res = upsilon(index, 1)
-    assert res.value == 3
-    assert {res.endpoint_a, res.endpoint_b} == {0, 4}
+    value, pair = upsilon(index, 1)
+    assert value == 3
+    assert set(pair) == {0, 4}
 
 
 def test_upsilon_matches_brute_force_per_vertex(small_corpus):
@@ -169,7 +176,7 @@ def test_upsilon_matches_brute_force_per_vertex(small_corpus):
                 for v in range(g.n):
                     if median_of(dist, u, v, v0) == m:
                         best = max(best, dist[u][v])
-            assert upsilon(index, m).value == best, (name, m)
+            assert upsilon(index, m)[0] == best, (name, m)
 
 
 def test_diameter_examples():
@@ -193,7 +200,7 @@ def test_diameter_matches_oracle(small_corpus):
         ora = brute_eccentricities(g)
         assert value == ora.diameter, name
         from medianecc import bfs
-        assert bfs(g, a).dist[b] == value, name
+        assert bfs(g, a)[b] == value, name
 
 
 def test_upsilon_requires_opposites():

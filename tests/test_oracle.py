@@ -5,17 +5,17 @@ import random
 import pytest
 
 from medianecc import (bfs, build_graph, compute_theta, fixture, gen_grid,
-                       gen_hypercube, gen_tree, halfspace_sides)
+                       gen_hypercube, gen_tree)
 from medianecc.oracle import (brute_eccentricities, distance_matrix,
-                              interval_vertices, is_convex, is_gated,
-                              is_median, medians_of_triple)
+                              halfspace_sides, interval_vertices, is_convex,
+                              is_gated, is_median, medians_of_triple)
 
 
 def test_distance_matrix_matches_bfs():
     g = fixture("cogwheel")
     d = distance_matrix(g)
     for v in (0, 3, 10):
-        assert d[v].tolist() == bfs(g, v).dist
+        assert d[v].tolist() == bfs(g, v)
 
 
 def test_brute_eccentricities_gstar():
@@ -129,12 +129,12 @@ def test_halfspaces_and_boundaries_convex_gated():
         theta = compute_theta(g)
         d = distance_matrix(g)
         for c in range(theta.q):
-            sides = halfspace_sides(g, theta, c)
-            near = [v for v in range(g.n) if not sides.side[v]]
-            far = [v for v in range(g.n) if sides.side[v]]
-            b_near = [g.edges[e][0] if not sides.side[g.edges[e][0]]
+            side = halfspace_sides(g, theta, c)
+            near = [v for v in range(g.n) if not side[v]]
+            far = [v for v in range(g.n) if side[v]]
+            b_near = [g.edges[e][0] if not side[g.edges[e][0]]
                       else g.edges[e][1] for e in theta.class_edges[c]]
-            b_far = [g.edges[e][1] if sides.side[g.edges[e][1]]
+            b_far = [g.edges[e][1] if side[g.edges[e][1]]
                      else g.edges[e][0] for e in theta.class_edges[c]]
             for subset in (near, far, b_near, b_far):
                 assert is_convex(g, subset, dist=d), (name, c)

@@ -4,12 +4,11 @@ import random
 
 import pytest
 
-from helpers import brute_phi_table, is_pof
+from helpers import brute_phi_table, is_pof, ortho_pairs, record_id
 
 from medianecc import (build_graph, compute_phi, compute_theta,
-                       enumerate_cubes, fixture, gen_hypercube, gen_tree,
-                       ladder_set_oracle, lookup_by_basis)
-from medianecc.oracle import distance_matrix
+                       enumerate_cubes, fixture, gen_hypercube, gen_tree)
+from medianecc.oracle import distance_matrix, ladder_set_oracle
 
 # a strip of squares climbing from the basepoint into a 3-cube; vertex 2
 # reaches the far cube corner 15 through the jumps 2 -> 6 -> 9 -> 15
@@ -31,9 +30,9 @@ def test_phi_on_a_path():
     theta, index = _labeled(g)
     first = theta.edge_class[g.edge_id(0, 1)]
     second = theta.edge_class[g.edge_id(1, 2)]
-    r = lookup_by_basis(index, 0, (first,))
+    r = record_id(index, (first,), basis=0)
     assert index.phi[r] == 2 and index.mu[r] == 2
-    r = lookup_by_basis(index, 1, (second,))
+    r = record_id(index, (second,), basis=1)
     assert index.phi[r] == 1 and index.mu[r] == 2
 
 
@@ -43,7 +42,7 @@ def test_phi_fig3_square_label_reaches_the_far_corner():
     e1, e3 = (theta.edge_class[g.edge_id(0, 2)],
               theta.edge_class[g.edge_id(0, 1)])
     square = tuple(sorted((e1, e3)))
-    r = lookup_by_basis(index, 0, square)
+    r = record_id(index, square, basis=0)
     # brute table value for this ladder set: vertex 7 sits at distance 4
     table = brute_phi_table(g, theta, distance_matrix(g))
     assert table[(0, square)] == 4
@@ -56,7 +55,7 @@ def test_phi_full_hypercube_label_is_the_antipode():
         g = gen_hypercube(k)
         theta, index = _labeled(g)
         full = tuple(range(theta.q))
-        r = lookup_by_basis(index, 0, full)
+        r = record_id(index, full, basis=0)
         assert index.phi[r] == k
         assert index.mu[r] == g.n - 1
 
@@ -119,6 +118,7 @@ def test_ladder_sets_are_pofs(small_corpus):
     rng = random.Random(5)
     for name, g in small_corpus:
         theta = compute_theta(g)
+        pairs = ortho_pairs(enumerate_cubes(g, theta))
         dist = distance_matrix(g)
         for _ in range(25):
             v = rng.randrange(g.n)
@@ -126,7 +126,7 @@ def test_ladder_sets_are_pofs(small_corpus):
                    if theta.dist0[u] + dist[u][v] == theta.dist0[v]]
             u = rng.choice(ups)
             lad = ladder_set_oracle(g, theta, u, v, dist_from_v=list(dist[v]))
-            assert is_pof(theta, lad), (name, u, v)
+            assert is_pof(pairs, lad), (name, u, v)
 
 
 def test_ladder_set_precondition():

@@ -2,10 +2,12 @@ from __future__ import annotations
 
 import pytest
 
-from helpers import djokovic_classes, is_pof, theta_partition
+from helpers import (djokovic_classes, is_pof, ortho_pairs, orthogonal,
+                     theta_partition)
 
 from medianecc import (NonMedianGraphError, build_graph, compute_theta,
-                       fixture, gen_tree, halfspace_sides, orthogonal)
+                       enumerate_cubes, fixture, gen_tree)
+from medianecc.oracle import halfspace_sides
 
 
 def test_square_has_two_classes_of_opposite_edges():
@@ -54,38 +56,39 @@ def test_fig3_orthogonality():
     g = fixture("fig3")
     theta = compute_theta(g, 0)
     e1, e2, e3, e4 = _fig3_classes(g, theta)
-    assert orthogonal(theta, e1, e3)
-    assert orthogonal(theta, e3, e1)
-    assert not orthogonal(theta, e1, e4)
-    assert not orthogonal(theta, e1, e2)
+    pairs = ortho_pairs(enumerate_cubes(g, theta))
+    assert orthogonal(pairs, e1, e3)
+    assert orthogonal(pairs, e3, e1)
+    assert not orthogonal(pairs, e1, e4)
+    assert not orthogonal(pairs, e1, e2)
     with pytest.raises(ValueError):
-        orthogonal(theta, e1, e1)
+        orthogonal(pairs, e1, e1)
 
 
 def test_tree_classes_never_orthogonal():
     g = gen_tree(12, 3)
     theta = compute_theta(g)
-    assert theta.ortho_pairs == frozenset()
+    assert ortho_pairs(enumerate_cubes(g, theta)) == set()
 
 
 def test_halfspaces_of_square():
     g = build_graph(4, [(0, 1), (1, 3), (2, 3), (0, 2)])
     theta = compute_theta(g, 0)
     for c in range(theta.q):
-        sides = halfspace_sides(g, theta, c)
-        assert not sides.side[0]  # basepoint stays on the near side
-        assert sides.side.count(True) == 2
+        side = halfspace_sides(g, theta, c)
+        assert not side[0]  # basepoint stays on the near side
+        assert side.count(True) == 2
         for eid in theta.class_edges[c]:
             u, v = g.edges[eid]
-            assert sides.side[u] != sides.side[v]
+            assert side[u] != side[v]
 
 
 def test_halfspaces_of_tree_edge_are_subtrees():
     g = build_graph(5, [(0, 1), (1, 2), (1, 3), (3, 4)])
     theta = compute_theta(g, 0)
     c = theta.edge_class[g.edge_id(1, 3)]
-    sides = halfspace_sides(g, theta, c)
-    far = {v for v in range(g.n) if sides.side[v]}
+    side = halfspace_sides(g, theta, c)
+    far = {v for v in range(g.n) if side[v]}
     assert far == {3, 4}
 
 
@@ -98,9 +101,9 @@ def test_halfspaces_of_augmented_ladder():
     c = theta.edge_class[g.edge_id(0, 3)]
     assert sorted(g.edges[e] for e in theta.class_edges[c]) == \
         [(0, 3), (1, 4), (2, 5)]
-    sides = halfspace_sides(g, theta, c)
-    near = {v for v in range(g.n) if not sides.side[v]}
-    far = {v for v in range(g.n) if sides.side[v]}
+    side = halfspace_sides(g, theta, c)
+    near = {v for v in range(g.n) if not side[v]}
+    far = {v for v in range(g.n) if side[v]}
     assert near == {0, 1, 2, 6} and far == {3, 4, 5, 7}
     boundary_near = {g.edges[e][0] for e in theta.class_edges[c]}
     boundary_far = {g.edges[e][1] for e in theta.class_edges[c]}
@@ -129,10 +132,10 @@ def test_matching_cut_and_boundary_isomorphism(small_corpus):
             comp = _components_without(g, removed)
             assert comp == 2, (name, c)
 
-            sides = halfspace_sides(g, theta, c)
+            side = halfspace_sides(g, theta, c)
             near_of = {}
             for u, v in class_edges:
-                if sides.side[u]:
+                if side[u]:
                     u, v = v, u
                 near_of[u] = v
             for u1 in near_of:
@@ -154,7 +157,7 @@ def _components_without(g, removed_edges):
         stack = [s]
         while stack:
             x = stack.pop()
-            for y, eid in g.adj[x]:
+            for y, eid in g.neighbors[x].items():
                 if eid not in removed_edges and not seen[y]:
                     seen[y] = 1
                     stack.append(y)
@@ -173,8 +176,9 @@ def test_euler_count_identity(small_corpus):
 def test_ingoing_classes_form_pofs(small_corpus):
     for name, g in small_corpus:
         theta = compute_theta(g)
+        pairs = ortho_pairs(enumerate_cubes(g, theta))
         for v in range(g.n):
-            assert is_pof(theta, theta.in_classes[v]), (name, v)
+            assert is_pof(pairs, theta.in_classes[v]), (name, v)
 
 
 def test_incident_maps_are_complete(small_corpus):
