@@ -3,13 +3,11 @@
 The label pipeline (theta classes -> hypercube records -> upward labels ->
 opposites -> bent labels) runs in time linear in the vertex count for any
 fixed dimension, and a brute-force oracle plus generators back it with
-exhaustive cross-checks.
+exhaustive cross-checks. The generators and named fixtures live in
+``medianecc.generators``.
 """
 from .cubes import CubeIndex, enumerate_cubes
 from .eccentricity import EccReport, compute_psi, eccentricities
-from .generators import (FIXTURE_NAMES, cartesian_product, expand_once,
-                         fixture, gen_grid, gen_hypercube, gen_tree,
-                         peripheral_expansion)
 from .graph import (BipartiteCheck, Graph, GraphFormatError,
                     GraphValidationError, bfs, build_graph, check_bipartite,
                     load_graph, save_graph)
@@ -22,13 +20,11 @@ from .theta import NonMedianGraphError, ThetaDecomposition, compute_theta
 __version__ = "0.1.0"
 
 __all__ = [
-    "BipartiteCheck", "CubeIndex", "EccReport", "FIXTURE_NAMES", "Graph",
-    "GraphFormatError", "GraphValidationError", "NonMedianGraphError",
-    "PipelineResult", "SweepResult", "ThetaDecomposition", "bfs",
-    "build_graph", "cartesian_product", "check_bipartite",
-    "compute_opposites", "compute_phi", "compute_psi", "compute_theta",
-    "diameter_via_upsilon", "eccentricities", "enumerate_cubes",
-    "expand_once", "fixture", "gen_grid", "gen_hypercube", "gen_tree",
-    "load_graph", "peripheral_expansion", "run_pipeline", "save_graph",
-    "sweep2", "sweep4", "upsilon",
+    "BipartiteCheck", "CubeIndex", "EccReport", "Graph", "GraphFormatError",
+    "GraphValidationError", "NonMedianGraphError", "PipelineResult",
+    "SweepResult", "ThetaDecomposition", "bfs", "build_graph",
+    "check_bipartite", "compute_opposites", "compute_phi", "compute_psi",
+    "compute_theta", "diameter_via_upsilon", "eccentricities",
+    "enumerate_cubes", "load_graph", "run_pipeline", "save_graph", "sweep2",
+    "sweep4", "upsilon",
 ]

@@ -156,15 +156,22 @@ def _cmd_sweep(args) -> int:
 
 
 def _parse_sizes(spec: str) -> list:
+    """Sizes from a comma list or a doubling range lo..hi; all positive."""
     if ".." in spec:
         lo_s, hi_s = spec.split("..", 1)
         lo, hi = int(float(lo_s)), int(float(hi_s))
         sizes = []
         while lo <= hi:
             sizes.append(lo)
+            if lo < 1:  # never grows by doubling; rejected below
+                break
             lo *= 2
-        return sizes
-    return [int(float(tok)) for tok in spec.split(",") if tok]
+    else:
+        sizes = [int(float(tok)) for tok in spec.split(",") if tok]
+    if any(size < 1 for size in sizes):
+        raise argparse.ArgumentTypeError(
+            f"sizes must be positive, got {spec!r}")
+    return sizes
 
 
 def _grid_of_size(n: int) -> Graph:
@@ -174,9 +181,8 @@ def _grid_of_size(n: int) -> Graph:
 
 
 def _cmd_bench(args) -> int:
-    sizes = _parse_sizes(args.sizes)
     rows = ["size,d," + "".join(f"time_{s}," for s in STAGES) + "total"]
-    for size in sizes:
+    for size in args.sizes:
         if args.kind == "grid":
             g = _grid_of_size(size)
         elif args.kind == "tree":
@@ -267,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="pipeline scaling over generated sizes")
     p.add_argument("--kind", choices=["grid", "tree", "cube"],
                    default="grid")
-    p.add_argument("--sizes", default="1e4..8e4",
+    p.add_argument("--sizes", type=_parse_sizes, default="1e4..8e4",
                    help="comma list or doubling range lo..hi")
     p.add_argument("--csv")
     p.add_argument("--seed", type=int, default=0)

@@ -99,16 +99,16 @@ def cartesian_product(g1: Graph, g2: Graph,
     return build_graph(n, edges)
 
 
-def expand_once(g: Graph, a: int, b: int) -> Graph:
-    """Duplicate the interval I(a, b) and match the copy onto the original.
-
-    Intervals are convex, hence gated, so the doubled graph is again
-    median; copies take the next free ids in ascending interval order.
-    """
+def _interval(g: Graph, a: int, b: int) -> list:
+    """I(a, b): the vertices on some shortest a-b path, ascending."""
     da = bfs(g, a)
     db = bfs(g, b)
     dab = da[b]
-    hull = [x for x in range(g.n) if da[x] + db[x] == dab]
+    return [x for x in range(g.n) if da[x] + db[x] == dab]
+
+
+def _double(g: Graph, hull: list) -> Graph:
+    """Copy the vertex set ``hull`` and match each copy to its original."""
     clone = {h: g.n + i for i, h in enumerate(hull)}
     edges = list(g.edges)
     for u, v in g.edges:
@@ -118,6 +118,15 @@ def expand_once(g: Graph, a: int, b: int) -> Graph:
     for h in hull:
         edges.append((h, clone[h]))
     return build_graph(g.n + len(hull), edges)
+
+
+def expand_once(g: Graph, a: int, b: int) -> Graph:
+    """Duplicate the interval I(a, b) and match the copy onto the original.
+
+    Intervals are convex, hence gated, so the doubled graph is again
+    median; copies take the next free ids in ascending interval order.
+    """
+    return _double(g, _interval(g, a, b))
 
 
 def peripheral_expansion(g: Graph, seed: int, steps: int,
@@ -131,11 +140,8 @@ def peripheral_expansion(g: Graph, seed: int, steps: int,
     for _ in range(steps):
         a = rng.randrange(g.n)
         b = rng.randrange(g.n)
-        da = bfs(g, a)
-        db = bfs(g, b)
-        hull_size = sum(1 for x in range(g.n)
-                        if da[x] + db[x] == da[b])
-        if g.n + hull_size > max_n:
+        hull = _interval(g, a, b)
+        if g.n + len(hull) > max_n:
             continue
-        g = expand_once(g, a, b)
+        g = _double(g, hull)
     return g

@@ -80,6 +80,10 @@ def build_graph(n: int, edges: Sequence[tuple[int, int]],
     """
     if n < 1:
         raise GraphValidationError(f"vertex count must be positive, got {n}")
+    if len(edges) < n - 1:
+        raise GraphValidationError(
+            f"graph is disconnected: {len(edges)} edges cannot connect "
+            f"{n} vertices")
 
     def line_of(i: int) -> Optional[int]:
         return edge_lines[i] if edge_lines is not None else None

@@ -16,7 +16,6 @@ STAGES = ("theta", "cubes", "phi", "opposites", "psi", "ecc")
 
 @dataclass
 class PipelineResult:
-    graph: Graph
     theta: ThetaDecomposition
     index: CubeIndex
     report: EccReport
@@ -44,5 +43,5 @@ def run_pipeline(g: Graph, v0: int = 0) -> PipelineResult:
     timed("opposites", compute_opposites, index)
     timed("psi", compute_psi, index, theta)
     report = timed("ecc", eccentricities, index)
-    return PipelineResult(graph=g, theta=theta, index=index, report=report,
+    return PipelineResult(theta=theta, index=index, report=report,
                           timings=timings)

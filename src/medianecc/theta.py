@@ -28,8 +28,8 @@ class ThetaDecomposition:
 
     ``incident[v]`` maps class id -> the unique incident edge id (classes
     are matchings, so at most one edge per class touches a vertex).
-    ``in_classes[v]`` / ``out_classes[v]`` split ``incident[v]`` by the
-    orientation: an edge (u, v) points u -> v when dist0[u] < dist0[v].
+    ``in_classes[v]`` lists, ascending, the classes of the edges that point
+    into v: an edge (u, v) points u -> v when dist0[u] < dist0[v].
     """
 
     v0: int
@@ -39,7 +39,6 @@ class ThetaDecomposition:
     class_edges: list
     incident: tuple
     in_classes: tuple
-    out_classes: tuple
 
 
 def compute_theta(g: Graph, v0: int = 0) -> ThetaDecomposition:
@@ -130,6 +129,7 @@ def compute_theta(g: Graph, v0: int = 0) -> ThetaDecomposition:
             f"count identity violated: 2n - m - q = {2 * g.n - m - q} > 2")
 
     incident: list = [dict() for _ in range(g.n)]
+    ingoing: list = [[] for _ in range(g.n)]
     for eid, (u, v) in enumerate(edges):
         c = edge_class[eid]
         for x in (u, v):
@@ -138,21 +138,8 @@ def compute_theta(g: Graph, v0: int = 0) -> ThetaDecomposition:
                     f"class {c} is not a matching: two of its edges share "
                     f"vertex {x}")
             incident[x][c] = eid
-
-    in_classes: list = []
-    out_classes: list = []
-    for v in range(g.n):
-        dn = dist0[v]
-        ins, outs = [], []
-        for c, eid in incident[v].items():
-            if dist0[g.other_endpoint(eid, v)] < dn:
-                ins.append(c)
-            else:
-                outs.append(c)
-        ins.sort()
-        outs.sort()
-        in_classes.append(tuple(ins))
-        out_classes.append(tuple(outs))
+        ingoing[v if dist0[u] < dist0[v] else u].append(c)
+    in_classes = tuple(tuple(sorted(cs)) for cs in ingoing)
 
     return ThetaDecomposition(
         v0=v0,
@@ -161,6 +148,5 @@ def compute_theta(g: Graph, v0: int = 0) -> ThetaDecomposition:
         edge_class=edge_class,
         class_edges=class_edges,
         incident=tuple(incident),
-        in_classes=tuple(in_classes),
-        out_classes=tuple(out_classes),
+        in_classes=in_classes,
     )

@@ -5,8 +5,10 @@ label pipeline it is used to check.
 """
 from __future__ import annotations
 
-from medianecc import (bfs, cartesian_product, fixture, gen_grid,
-                       gen_hypercube, gen_tree, peripheral_expansion)
+from medianecc import bfs, build_graph
+from medianecc.generators import (cartesian_product, fixture, gen_grid,
+                                  gen_hypercube, gen_tree,
+                                  peripheral_expansion)
 from medianecc.oracle import ladder_set_oracle
 
 
@@ -110,23 +112,6 @@ def record_id(index, pof, basis=None, anti_basis=None):
     raise KeyError(f"no hypercube at vertex {v} with classes {tuple(pof)}")
 
 
-def expand_tree(tree, extension_ok):
-    """Materialize every node of an OppositeTree; return the tree depth.
-
-    ``extension_ok(blocked, cls)`` must say whether ``blocked | {cls}`` is
-    still pairwise orthogonal; children the queries already made are kept.
-    """
-    depth = 0
-    stack = [(tree.root, 0)]
-    while stack:
-        node, d = stack.pop()
-        depth = max(depth, d)
-        for c in node.pof:
-            if c in node.children or extension_ok(node.blocked, c):
-                stack.append((tree._child(node, c), d + 1))
-    return depth
-
-
 def small_corpus_graphs():
     """Named median graphs up to ~130 vertices for module-level checks."""
     graphs = [(name, fixture(name))
@@ -144,6 +129,9 @@ def small_corpus_graphs():
                                                 gen_grid(1, 4))))
     graphs.append(("prod_cube_tree", cartesian_product(gen_hypercube(2),
                                                        gen_tree(5, 9))))
+    # K_{1,12} x K_2: two hubs of degree 13
+    star = build_graph(13, [(0, v) for v in range(1, 13)])
+    graphs.append(("prod_star_edge", cartesian_product(star, gen_grid(1, 2))))
     for seed in range(6):
         g = peripheral_expansion(gen_tree(1, 0), seed, 12, max_n=120)
         graphs.append((f"expand{seed}", g))

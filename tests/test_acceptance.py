@@ -11,8 +11,8 @@ import pytest
 
 from helpers import acceptance_corpus_graphs, ortho_pairs, orthogonal
 
-from medianecc import (bfs, fixture, gen_grid, gen_hypercube, run_pipeline,
-                       sweep2, sweep4)
+from medianecc import bfs, run_pipeline, sweep2, sweep4
+from medianecc.generators import fixture, gen_grid, gen_hypercube
 from medianecc.opposites import diameter_via_upsilon
 from medianecc.oracle import (brute_eccentricities, distance_matrix,
                               halfspace_sides, is_convex, is_gated,

@@ -4,7 +4,8 @@ from pathlib import Path
 
 import pytest
 
-from medianecc import fixture, save_graph
+from medianecc import save_graph
+from medianecc.generators import fixture
 from medianecc.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -142,6 +143,14 @@ def test_bench_doubling_range(capsys):
     assert len(sizes) == 3
     for got, target in zip(sizes, (64, 128, 256)):
         assert target <= got <= target * 1.1
+
+
+@pytest.mark.parametrize("sizes", ["0..10", "-4..10", "100,0"])
+def test_bench_non_positive_sizes_are_usage_errors(sizes, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", f"--sizes={sizes}"])
+    assert exc.value.code == 2
+    assert "sizes must be positive" in capsys.readouterr().err
 
 
 def test_missing_file_is_input_error(capsys):

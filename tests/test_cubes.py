@@ -7,8 +7,8 @@ import pytest
 from helpers import is_pof, ortho_pairs, record_id
 
 from medianecc import (NonMedianGraphError, bfs, build_graph, compute_theta,
-                       enumerate_cubes, fixture, gen_grid, gen_hypercube,
-                       load_graph)
+                       enumerate_cubes, load_graph)
+from medianecc.generators import fixture, gen_grid, gen_hypercube
 
 
 def _index_for(g, v0=0):

@@ -6,8 +6,8 @@ import pytest
 
 from helpers import median_of, record_id
 
-from medianecc import (bfs, build_graph, compute_theta, fixture, gen_grid,
-                       gen_hypercube, run_pipeline)
+from medianecc import bfs, build_graph, compute_theta, run_pipeline
+from medianecc.generators import fixture, gen_grid, gen_hypercube
 from medianecc.oracle import (brute_eccentricities, distance_matrix,
                               milestones_oracle)
 

@@ -4,9 +4,11 @@ import pytest
 
 from helpers import quick_dimension
 
-from medianecc import (FIXTURE_NAMES, cartesian_product, compute_theta,
-                       enumerate_cubes, expand_once, fixture, gen_grid,
-                       gen_hypercube, gen_tree, peripheral_expansion)
+from medianecc import compute_theta, enumerate_cubes
+from medianecc.generators import (FIXTURE_NAMES, cartesian_product,
+                                  expand_once, fixture, gen_grid,
+                                  gen_hypercube, gen_tree,
+                                  peripheral_expansion)
 from medianecc.oracle import brute_eccentricities, is_median
 
 

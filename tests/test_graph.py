@@ -5,8 +5,8 @@ import random
 import pytest
 
 from medianecc import (GraphFormatError, GraphValidationError, bfs,
-                       build_graph, check_bipartite, fixture, gen_grid,
-                       gen_hypercube, load_graph, save_graph)
+                       build_graph, check_bipartite, load_graph, save_graph)
+from medianecc.generators import fixture, gen_grid, gen_hypercube
 
 
 def test_load_single_edge():
@@ -64,6 +64,8 @@ def test_missing_edges_is_an_error():
     ("2 1\n0 0", "self-loop"),
     ("2 2\n0 1\n1 0", "duplicate edge"),
     ("3 1\n0 2", "disconnected"),
+    # refused from the edge count, before any adjacency is allocated
+    ("200000 1\n0 1", "disconnected: 1 edges cannot connect 200000"),
     ("2 1\n0 5", "outside"),
 ])
 def test_validation_errors(text, fragment):

@@ -1,7 +1,7 @@
 from __future__ import annotations
 
-from medianecc import bfs, build_graph, fixture, gen_hypercube, \
-    gen_tree, sweep2, sweep4
+from medianecc import bfs, build_graph, sweep2, sweep4
+from medianecc.generators import fixture, gen_hypercube, gen_tree
 from medianecc.oracle import brute_eccentricities
 
 

@@ -1,16 +1,15 @@
 from __future__ import annotations
 
-import math
 import random
 
 import pytest
 
-from helpers import expand_tree, is_pof, ortho_pairs, orthogonal
-
-from medianecc import (compute_phi, compute_opposites, compute_theta,
-                       diameter_via_upsilon, enumerate_cubes, fixture,
-                       gen_grid, gen_hypercube, gen_tree, upsilon)
-from medianecc.opposites import OppositeTree
+from medianecc import (build_graph, compute_phi, compute_opposites,
+                       compute_theta, diameter_via_upsilon, enumerate_cubes,
+                       run_pipeline, upsilon)
+from medianecc.generators import (cartesian_product, fixture, gen_grid,
+                                  gen_hypercube, gen_tree)
+from medianecc.opposites import opposite_records
 from medianecc.oracle import brute_eccentricities
 
 
@@ -23,18 +22,19 @@ def _prepared(g, v0=0):
 
 
 def _synthetic(entries):
-    """Tree over {pof: weight}, and its query returning the opposite pof."""
+    """Query over {pof: weight} returning the opposite of a listed pof."""
     rows = [(tuple(sorted(p)), w, i)
             for i, (p, w) in enumerate(entries.items())]
-    tree = OppositeTree(rows)
-    return tree, lambda pof: rows[tree.opposite_record(pof)][0]
+    opp = dict(zip((p for p, _, _ in rows), opposite_records(rows)))
+    return lambda pof: rows[opp[pof]][0]
 
 
-def _tree_at(index, m):
-    """Tree over m's outgoing records, and its query returning the pof."""
-    tree = OppositeTree((index.pof[r], index.phi[r], r)
-                        for r in index.outgoing[m])
-    return tree, lambda pof: index.pof[tree.opposite_record(pof)]
+def _opposites_at(index, m):
+    """Query over m's outgoing records returning the opposite pof."""
+    rids = index.outgoing[m]
+    opp = opposite_records((index.pof[r], index.phi[r], r) for r in rids)
+    by_pof = {index.pof[r]: o for r, o in zip(rids, opp)}
+    return lambda pof: index.pof[by_pof[pof]]
 
 
 def test_leaf_of_a_tree_has_the_empty_opposite():
@@ -43,51 +43,38 @@ def test_leaf_of_a_tree_has_the_empty_opposite():
     # basepoint at the leaf: its single edge points out, so its outgoing
     # pofs are () and the edge class
     theta, index = _prepared(g, v0=leaf)
-    tree, find_opposite = _tree_at(index, leaf)
+    find_opposite = _opposites_at(index, leaf)
     outgoing = [index.pof[r] for r in index.outgoing[leaf]]
     (single,) = [p for p in outgoing if p]
     assert len(single) == 1
-    assert tree.root.pof == single
     assert find_opposite(single) == ()
     assert find_opposite(()) == single
 
 
 def test_nested_argmax_tree_and_opposite():
     i, j, h, r, ell = range(5)
-    tree, find_opposite = _synthetic({
+    find_opposite = _synthetic({
         (): 0, (i,): 3, (j,): 3, (h,): 2, (r,): 2, (ell,): 6,
         (i, j): 10, (j, h): 4, (j, r): 4, (h, r): 4, (i, h): 4,
         (j, h, r): 9, (i, ell): 5,
     })
-    assert tree.root.pof == (i, j)
-    assert find_opposite((i, ell)) == (j, h, r)
     assert find_opposite(()) == (i, j)
-
-    # fully expanded: the child reached through i is indexed (j, h, r)
-    # and its child through h is indexed (ell,)
-    pairs = {(i, j), (j, h), (j, r), (h, r), (i, h), (i, ell)}
-
-    def extension_ok(blocked, c):
-        return all((min(c, b), max(c, b)) in pairs for b in blocked)
-
-    expand_tree(tree, extension_ok)
-    child = tree.root.children[i]
-    assert child.pof == (j, h, r)
-    grandchild = child.children[h]
-    assert grandchild.pof == (ell,)
+    assert find_opposite((i, ell)) == (j, h, r)
+    # blocking i reaches (j, h, r); blocking i, then h, reaches (ell,)
+    assert find_opposite((i,)) == (j, h, r)
+    assert find_opposite((i, h)) == (ell,)
 
 
 def test_three_branch_star_weights():
-    tree, find_opposite = _synthetic({(): 0, (0,): 3, (1,): 2, (2,): 1})
-    assert tree.root.pof == (0,)
+    find_opposite = _synthetic({(): 0, (0,): 3, (1,): 2, (2,): 1})
     assert find_opposite((0,)) == (1,)
     assert find_opposite((1,)) == (0,)
     assert find_opposite(()) == (0,)
 
 
 def test_argmax_tie_breaks_prefer_small_then_lexicographic():
-    tree, _ = _synthetic({(): 0, (0,): 5, (1, 2): 5, (1,): 5, (2,): 4})
-    assert tree.root.pof == (0,)  # weight tie broken by size, then lex
+    find_opposite = _synthetic({(): 0, (0,): 5, (1, 2): 5, (1,): 5, (2,): 4})
+    assert find_opposite(()) == (0,)  # weight tie broken by size, then lex
 
 
 def test_opposites_match_quadratic_scan(small_corpus):
@@ -98,7 +85,7 @@ def test_opposites_match_quadratic_scan(small_corpus):
         rng.shuffle(vertices)
         for m in vertices[:12]:
             entries = [(index.pof[r], index.phi[r]) for r in index.outgoing[m]]
-            _, find_opposite = _tree_at(index, m)
+            find_opposite = _opposites_at(index, m)
             for pof, weight in entries:
                 got = find_opposite(pof)
                 got_w = dict(entries)[got]
@@ -108,37 +95,15 @@ def test_opposites_match_quadratic_scan(small_corpus):
                 assert not set(got) & set(pof)
 
 
-def test_tree_structure_bounds(small_corpus):
-    for name, g in small_corpus:
-        if g.n > 90:
-            continue
-        theta, index = _prepared(g)
-        d = index.dimension
-        pairs = ortho_pairs(index)
-        for m in range(0, g.n, max(1, g.n // 10)):
-            tree, find_opposite = _tree_at(index, m)
-            for r in index.outgoing[m]:
-                find_opposite(index.pof[r])
-            depth = expand_tree(
-                tree, lambda blocked, c: all(orthogonal(pairs, c, b)
-                                             for b in blocked))
-            assert depth <= d, (name, m)
-            assert tree.node_count <= math.factorial(max(d, 1)) * 3, (name, m)
-            _check_nodes(tree, pairs, index, m, name)
-
-
-def _check_nodes(tree, pairs, index, m, name):
-    entries = [(index.pof[r], index.phi[r]) for r in index.outgoing[m]]
-    stack = [tree.root]
-    while stack:
-        node = stack.pop()
-        blocked = node.blocked
-        assert is_pof(pairs, tuple(sorted(blocked))), (name, m)
-        assert not blocked & set(node.pof), (name, m)
-        best = max(w for p, w in entries if not set(p) & blocked)
-        node_w = dict((tuple(p), w) for p, w in entries)[node.pof]
-        assert node_w == best, (name, m, node.pof)
-        stack.extend(node.children.values())
+def test_hub_opposites_cost_about_as_much_as_cubes():
+    # K_{1,4000} x K_2: two hubs of degree 4001, where a per-query scan of
+    # the ranked pof list would be quadratic in the degree (about 45x cubes)
+    star = build_graph(4001, [(0, v) for v in range(1, 4001)])
+    g = cartesian_product(star, gen_grid(1, 2))
+    runs = [run_pipeline(g).timings for _ in range(3)]
+    opposites = min(t["opposites"] for t in runs)
+    cubes = min(t["cubes"] for t in runs)
+    assert opposites <= 5 * cubes, (opposites, cubes)
 
 
 def test_upsilon_is_at_least_the_best_single_label(small_corpus):

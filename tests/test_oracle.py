@@ -4,8 +4,8 @@ import random
 
 import pytest
 
-from medianecc import (bfs, build_graph, compute_theta, fixture, gen_grid,
-                       gen_hypercube, gen_tree)
+from medianecc import bfs, build_graph, compute_theta
+from medianecc.generators import fixture, gen_grid, gen_hypercube, gen_tree
 from medianecc.oracle import (brute_eccentricities, distance_matrix,
                               halfspace_sides, interval_vertices, is_convex,
                               is_gated, is_median, medians_of_triple)

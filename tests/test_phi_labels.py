@@ -6,8 +6,8 @@ import pytest
 
 from helpers import brute_phi_table, is_pof, ortho_pairs, record_id
 
-from medianecc import (build_graph, compute_phi, compute_theta,
-                       enumerate_cubes, fixture, gen_hypercube, gen_tree)
+from medianecc import build_graph, compute_phi, compute_theta, enumerate_cubes
+from medianecc.generators import fixture, gen_hypercube, gen_tree
 from medianecc.oracle import distance_matrix, ladder_set_oracle
 
 # a strip of squares climbing from the basepoint into a 3-cube; vertex 2

@@ -6,7 +6,8 @@ from helpers import (djokovic_classes, is_pof, ortho_pairs, orthogonal,
                      theta_partition)
 
 from medianecc import (NonMedianGraphError, build_graph, compute_theta,
-                       enumerate_cubes, fixture, gen_tree)
+                       enumerate_cubes)
+from medianecc.generators import fixture, gen_tree
 from medianecc.oracle import halfspace_sides
 
 
@@ -188,9 +189,12 @@ def test_incident_maps_are_complete(small_corpus):
             c = theta.edge_class[eid]
             assert theta.incident[u][c] == eid
             assert theta.incident[v][c] == eid
+        dist0 = theta.dist0
         for v in range(g.n):
-            assert set(theta.in_classes[v]) | set(theta.out_classes[v]) \
-                == set(theta.incident[v])
+            # exactly the incident classes whose edge comes from closer to v0
+            assert theta.in_classes[v] == tuple(sorted(
+                c for c, eid in theta.incident[v].items()
+                if dist0[g.other_endpoint(eid, v)] < dist0[v]))
 
 
 def test_non_bipartite_input_raises():
