@@ -1,13 +1,24 @@
 """Per-vertex opposite lookup over weighted pofs, and the diameter from it.
 
 For a vertex m, every outgoing pof L carries the weight phi(m, L). The
-opposite of L is the maximum-weight outgoing pof disjoint from L. A memo
-table answers all opposite queries for m: it maps a blocked class set to the
-best pof avoiding it, and a query for L blocks, one at a time, the smallest
-class that L shares with the current best pof until that pof is disjoint
-from L. The table's keys are the nodes of the paper's opposite tree. The
-best value of phi(m, L) + phi(m, op(L)) over all m is the graph diameter,
-realized by the two witnesses.
+opposite of L is the maximum-weight outgoing pof disjoint from L: the first
+one disjoint from L when m's pofs are ranked by weight, size and class list.
+All opposite queries for m are answered at once, in one of two regimes set
+by k, the number of classes that occur in m's pofs:
+
+* dense, 2^k at most twice the pof count (hypercubes, grids, most tree
+  vertices): each pof becomes a k-bit mask, and a subset-min transform over
+  all 2^k masks gives, for every mask, the best-ranked pof inside it; the
+  opposite of L is read at the complement of L's mask.
+* sparse (hubs such as the centre of a large star): a memo table maps a
+  blocked class set to the best pof avoiding it, and a query for L blocks,
+  one at a time, the smallest class that L shares with the current best pof
+  until that pof is disjoint from L. Its keys are the nodes of the paper's
+  opposite tree.
+
+A vertex with the empty pof alone is its own opposite. The best value of
+phi(m, L) + phi(m, op(L)) over all m is the graph diameter, realized by the
+two witnesses.
 """
 from __future__ import annotations
 
@@ -19,13 +30,50 @@ def opposite_records(entries) -> list:
 
     ``entries`` are that vertex's ``(pof, weight, record id)`` triples and
     must include the empty pof (weight 0): it realizes pairs where the
-    vertex itself is an endpoint. ``best[B]`` is the first ranked entry
-    avoiding the blocked class set B. A query for L only blocks classes of
-    L, so the entry it stops at is the first ranked entry disjoint from L.
-    Argmax ties prefer smaller pofs, then lexicographic class lists.
+    vertex itself is an endpoint. The opposite of L is the first entry
+    disjoint from L in the ranking by ``(-weight, len(pof), pof)``, so
+    argmax ties prefer smaller pofs, then lexicographic class lists.
+    The vertex is dense when its pofs use k classes in all and 2^k is at
+    most twice its pof count; a subset-min table answers it. Any other
+    vertex (a hub, where k is about the degree) gets a memo table.
     """
     entries = list(entries)
     ranked = sorted(entries, key=lambda e: (-e[1], len(e[0]), e[0]))
+    # one bit per class; give up as soon as 2^k > 2 * #pofs, before a
+    # hub's degree-sized mask is ever formed
+    limit = (2 * len(ranked)).bit_length()
+    bit, mask = {}, {}
+    for pof, _, _ in ranked:
+        m = 0
+        for c in pof:
+            b = bit.get(c)
+            if b is None:
+                if len(bit) + 1 >= limit:
+                    return _memo_opposites(entries, ranked)
+                b = bit[c] = 1 << len(bit)
+            m |= b
+        mask[pof] = m
+    # best[M]: smallest rank position of a pof whose mask is inside M
+    size = 1 << len(bit)
+    best = [len(ranked)] * size
+    for pos in range(len(ranked) - 1, -1, -1):
+        best[mask[ranked[pos][0]]] = pos
+    for b in bit.values():
+        for m in range(size):
+            if m & b:
+                x = best[m ^ b]
+                if x < best[m]:
+                    best[m] = x
+    full = size - 1
+    return [ranked[best[full ^ mask[pof]]][2] for pof, _, _ in entries]
+
+
+def _memo_opposites(entries, ranked) -> list:
+    """Sparse vertex: ``best[B]`` is the first ranked entry avoiding the
+    blocked class set B. A query for L blocks, one at a time, the smallest
+    class that L shares with the current best pof; it only blocks classes
+    of L, so the entry it stops at is the first ranked entry disjoint
+    from L. The table's keys are the nodes of the paper's opposite tree."""
     empty = frozenset()
     best = {empty: ranked[0]}
     out = []
@@ -50,12 +98,15 @@ def opposite_records(entries) -> list:
 def compute_opposites(index: CubeIndex) -> None:
     """Resolve the opposite record of every record at its own basis vertex.
 
-    Stored in ``index.opp``; the memo tables are transient, the record ids
-    are what the later passes need.
+    Stored in ``index.opp``; the per-vertex tables are transient, the
+    record ids are what the later passes need.
     """
     pofs, phi = index.pof, index.phi
     opp = [0] * len(index)
     for rids in index.outgoing:
+        if len(rids) == 1:  # only the empty pof: its own opposite
+            opp[rids[0]] = rids[0]
+            continue
         for r, o in zip(rids, opposite_records((pofs[r], phi[r], r)
                                                for r in rids)):
             opp[r] = o

@@ -112,6 +112,15 @@ def record_id(index, pof, basis=None, anti_basis=None):
     raise KeyError(f"no hypercube at vertex {v} with classes {tuple(pof)}")
 
 
+def scan_opposites(entries):
+    """Opposite record ids of ``(pof, weight, record id)`` triples, in
+    input order, by a plain scan: for each pof L, the first entry disjoint
+    from L when ranked by weight (descending), pof size, then class list."""
+    ranked = sorted(entries, key=lambda e: (-e[1], len(e[0]), e[0]))
+    return [next(r for p, _, r in ranked if set(p).isdisjoint(pof))
+            for pof, _, _ in entries]
+
+
 def small_corpus_graphs():
     """Named median graphs up to ~130 vertices for module-level checks."""
     graphs = [(name, fixture(name))

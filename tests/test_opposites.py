@@ -9,8 +9,10 @@ from medianecc import (build_graph, compute_phi, compute_opposites,
                        run_pipeline, upsilon)
 from medianecc.generators import (cartesian_product, fixture, gen_grid,
                                   gen_hypercube, gen_tree)
-from medianecc.opposites import opposite_records
+from medianecc.opposites import _memo_opposites, opposite_records
 from medianecc.oracle import brute_eccentricities
+
+from helpers import scan_opposites
 
 
 def _prepared(g, v0=0):
@@ -78,21 +80,49 @@ def test_argmax_tie_breaks_prefer_small_then_lexicographic():
 
 
 def test_opposites_match_quadratic_scan(small_corpus):
-    rng = random.Random(13)
     for name, g in small_corpus:
         theta, index = _prepared(g)
-        vertices = list(range(g.n))
-        rng.shuffle(vertices)
-        for m in vertices[:12]:
-            entries = [(index.pof[r], index.phi[r]) for r in index.outgoing[m]]
-            find_opposite = _opposites_at(index, m)
-            for pof, weight in entries:
-                got = find_opposite(pof)
-                got_w = dict(entries)[got]
-                best = max(w for p, w in entries
-                           if not set(p) & set(pof))
-                assert got_w == best, (name, m, pof)
-                assert not set(got) & set(pof)
+        for m in range(g.n):
+            rids = index.outgoing[m]
+            entries = [(index.pof[r], index.phi[r], r) for r in rids]
+            assert [index.opp[r] for r in rids] == scan_opposites(entries), \
+                (name, m)
+
+
+def _random_family(rng, closed):
+    """(pof, weight, record id) triples over at most 7 classes with
+    arbitrary ids, shuffled; downward-closed or not, always with ()."""
+    k = rng.randint(1, 7)
+    classes = sorted(rng.sample(range(3 * k), k))
+    subsets = [tuple(c for i, c in enumerate(classes) if mask >> i & 1)
+               for mask in range(1 << k)]
+    if closed:
+        tops = rng.sample(subsets, min(rng.randint(1, 3), len(subsets)))
+        family = [p for p in subsets
+                  if any(set(p).issubset(t) for t in tops)]
+    else:
+        keep = rng.random()
+        family = [p for p in subsets if not p or rng.random() < keep]
+    rng.shuffle(family)
+    return [(p, rng.randint(1, 3), 1000 + i) for i, p in enumerate(family)]
+
+
+def test_opposite_records_match_scan_on_random_families(monkeypatch):
+    memo_calls = []
+    monkeypatch.setattr("medianecc.opposites._memo_opposites",
+                        lambda *a: memo_calls.append(1) or _memo_opposites(*a))
+    rng = random.Random(4)
+    sparse = 0
+    for i in range(20000):
+        entries = _random_family(rng, closed=i % 2 == 0)
+        k = len({c for p, _, _ in entries for c in p})
+        is_sparse = 2 ** k > 2 * len(entries)
+        del memo_calls[:]
+        assert opposite_records(entries) == scan_opposites(entries), entries
+        assert len(memo_calls) == is_sparse, entries
+        sparse += is_sparse
+    # both regimes are exercised
+    assert 0 < sparse < 20000 / 2, sparse
 
 
 def test_hub_opposites_cost_about_as_much_as_cubes():
@@ -104,6 +134,16 @@ def test_hub_opposites_cost_about_as_much_as_cubes():
     opposites = min(t["opposites"] for t in runs)
     cubes = min(t["cubes"] for t in runs)
     assert opposites <= 5 * cubes, (opposites, cubes)
+
+
+def test_dense_opposites_cost_about_as_much_as_cubes():
+    # Q10: every vertex is dense, 2^k pofs over k classes; the memo table
+    # alone, with one scan of the ranked pofs per miss, costs 4-6x cubes
+    g = gen_hypercube(10)
+    runs = [run_pipeline(g).timings for _ in range(3)]
+    opposites = min(t["opposites"] for t in runs)
+    cubes = min(t["cubes"] for t in runs)
+    assert opposites <= 2 * cubes, (opposites, cubes)
 
 
 def test_upsilon_is_at_least_the_best_single_label(small_corpus):
