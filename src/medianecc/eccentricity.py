@@ -6,12 +6,21 @@ up to v. psi(u, X) is the largest such d(u, v) over targets whose walk
 toward u makes its final hypercube jump through the cube (basis u-, classes
 X, anti-basis u). The eccentricity of u is then the maximum over both label
 families on the records around u.
+
+The sweep visits vertices from the nearest level to the farthest and pairs
+each outgoing record with the ingoing records of its basis that its pof
+does not block; ties go to the opposite's phi, then to the smallest
+ingoing record id. A heavy vertex (``labels.local_masks``, the phi cut)
+answers them by one subset-max transform keyed so that the same ties win.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .cubes import CubeIndex
+from .labels import local_masks
+from .opposites import subset_max
 from .theta import ThetaDecomposition
 
 
@@ -30,8 +39,9 @@ class EccReport:
 def compute_psi(index: CubeIndex, theta: ThetaDecomposition) -> None:
     """Fill psi / psi_witness for every nonempty-pof record, in place.
 
-    Forward sweep (anti-bases nearest to v0 first), so the labels of the
-    record's basis u- are final when read. Two candidate families:
+    Vertices are visited by level from v0, so the labels ingoing at a
+    vertex u- are final when its outgoing records (classes X) are
+    labelled. Two candidate families:
 
     * the bend sits at u- itself: |X| plus the best upward reach at u-
       among pofs disjoint from X, i.e. phi of the record's opposite (the
@@ -40,6 +50,8 @@ def compute_psi(index: CubeIndex, theta: ThetaDecomposition) -> None:
       ingoing pof X- of u- whose own cube basis touches no class of X
       (otherwise u- would not be the final jump-off point toward u).
 
+    A heavy vertex keys ingoing record t as psi(t) * R + (R - 1 - t).
+
     Requires compute_phi and compute_opposites.
     """
     if index.opp is None:
@@ -47,34 +59,50 @@ def compute_psi(index: CubeIndex, theta: ThetaDecomposition) -> None:
     incident = theta.incident
     pofs, phi, mu = index.pof, index.phi, index.mu
     psi, psiw = index.psi, index.psi_witness
-    basis, ingoing, opp = index.basis, index.ingoing, index.opp
+    basis, ingoing, outgoing = index.basis, index.ingoing, index.outgoing
+    opp = index.opp
+    R = len(pofs)
 
-    for r in range(len(pofs)):
-        X = pofs[r]
-        if not X:
+    # by each vertex's empty-pof record, i.e. by level, nearest first
+    for outs in sorted(outgoing, key=itemgetter(0)):
+        if len(outs) == 1:
             continue
-        low = basis[r]
-        o = opp[r]
-        size = len(X)
-        best = size + phi[o]
-        wit = mu[o]
-        for t in ingoing[low]:
-            if not pofs[t]:
-                continue
-            inc_lower = incident[basis[t]]
-            blocked = False
-            for c in X:
-                if c in inc_lower:
-                    blocked = True
-                    break
-            if blocked:
-                continue
-            cand = size + psi[t]
-            if cand > best:
-                best = cand
-                wit = psiw[t]
-        psi[r] = best
-        psiw[r] = wit
+        ins = ingoing[basis[outs[0]]]
+        masks = None
+        if (len(outs) - 1) * (len(ins) - 1) > 2 * len(outs) + len(ins):
+            masks = local_masks(index, incident, outs, ins)  # else light
+        if masks is None:
+            lows = ins[1:]  # ascending t: the first wins ties
+            for r in outs[1:]:
+                X = pofs[r]
+                o = opp[r]
+                reach, wit = phi[o], mu[o]
+                for t in lows:
+                    p = psi[t]
+                    if p > reach:
+                        inc_lower = incident[basis[t]]
+                        for c in X:
+                            if c in inc_lower:
+                                break
+                        else:
+                            reach, wit = p, psiw[t]
+                psi[r] = len(X) + reach
+                psiw[r] = wit
+            continue
+        k, out_masks, in_masks = masks
+        best = [-1] * (1 << k)
+        for t, m in zip(ins[1:], in_masks):
+            best[m] = max(best[m], psi[t] * R + (R - 1 - t))
+        subset_max(best, k)
+        full = len(best) - 1
+        for r, m in zip(outs[1:], out_masks[1:]):
+            o = opp[r]
+            reach, wit = phi[o], mu[o]
+            p, t = divmod(best[full ^ m], R)  # p = -1 when no t fits
+            if p > reach:
+                reach, wit = p, psiw[R - 1 - t]
+            psi[r] = len(pofs[r]) + reach
+            psiw[r] = wit
 
 
 def eccentricities(index: CubeIndex) -> EccReport:

@@ -5,52 +5,107 @@ distance d(u, v) over vertices v that lie "above" u (u between v0 and v)
 whose ladder set at u is exactly L; mu(u, L) is a vertex attaining it.
 The ladder set of (u, v) collects the separating classes that have an edge
 at u, i.e. the possible first steps of shortest (u, v)-paths.
+
+The sweep visits vertices from the farthest level to the nearest and
+labels each vertex b's ingoing records t from b's outgoing records: the
+best phi among outgoing pofs L not blocked at t (no class of L incident to
+t's basis), ties to the larger record id. At a heavy vertex
+(``local_masks``: more pairs than the transform's (k + 1) * 2^k + k * #in
+steps over k local classes) one subset-max transform over b's local class
+bits replaces that pair loop: every pof inside the complement of t's
+blocked mask is unblocked, so one table read answers t.
 """
 from __future__ import annotations
 
+from operator import itemgetter
+
 from .cubes import CubeIndex
+from .opposites import pof_masks, subset_max
 from .theta import ThetaDecomposition
 
 
+def _transform_cost(k: int, n_in: int) -> int:
+    """Python steps of the transform at a vertex with k local classes and
+    n_in ingoing records: k probes per ingoing record for its blocked mask,
+    2^k table slots and k passes over them in ``subset_max``. The pair loop
+    takes at least one step per pair, so more pairs than this make a vertex
+    heavy. On the benchmark inputs that cut is as fast as all-transform on
+    Q10 and Q11 and as all-loop on small-batch (all-transform: +60 %)."""
+    return ((k + 1) << k) + k * n_in
+
+
+def local_masks(index: CubeIndex, incident: list, outs: list, ins: list):
+    """``(k, out_masks, in_masks)`` at a heavy vertex with outgoing and
+    ingoing records ``outs`` and ``ins`` (each led by its empty pof), else
+    None: each outgoing pof's mask over the k local classes, and for each
+    nonempty ingoing record the mask of those incident to its basis.
+    Heavy: dense (``pof_masks``) with more nonempty-record pairs than
+    ``_transform_cost``, first checked at the least k for len(outs) pofs,
+    so a light vertex costs O(1) here. That cost is at least
+    2 * len(outs) + len(ins) (k >= 1 and 2^k >= len(outs)), so the sweeps
+    call this only for vertices with more pairs than that."""
+    pairs = (len(outs) - 1) * (len(ins) - 1)
+    if pairs <= _transform_cost((len(outs) - 1).bit_length(), len(ins)):
+        return None
+    dense = pof_masks([index.pof[r] for r in outs])
+    if dense is None or pairs <= _transform_cost(len(dense[0]), len(ins)):
+        return None
+    bit, mask = dense
+    basis, bits = index.basis, list(bit.items())
+    in_masks = []
+    for t in ins[1:]:
+        inc = incident[basis[t]]
+        m = 0
+        for c, b in bits:
+            if c in inc:
+                m |= b
+        in_masks.append(m)
+    return len(bit), list(mask.values()), in_masks
+
+
 def compute_phi(index: CubeIndex, theta: ThetaDecomposition) -> None:
-    """Fill phi/mu for every record, in place.
-
-    Records are swept from the farthest anti-basis to the nearest, so every
-    contribution into a record lands before that record itself is read:
-
-    * a record still at 0 when reached is "peripheral"; its best target is
-      its own anti-basis, at distance |L|;
-    * each record then extends the records hanging below its basis b: for a
-      nonempty subset X of b's ingoing classes whose cube has basis b-,
-      the value |X| + phi(u, L) carries over unless some class of L still
-      touches b- (then the ladder set at b- would grow past X).
-
-    Ties keep the earlier witness; empty-pof records stay at 0 / self.
-    """
+    """Fill phi/mu for every record, in place. At each vertex b the empty
+    outgoing pof (phi 0, witness b) lets an ingoing record with no
+    unblocked pof reach b itself, at distance |X|; a heavy vertex keys its
+    outgoing record r as phi(r) * R + r over R records."""
     incident = theta.incident
     pofs, phi, mu = index.pof, index.phi, index.mu
-    basis, ingoing = index.basis, index.ingoing
+    basis, ingoing, outgoing = index.basis, index.ingoing, index.outgoing
+    R = len(pofs)
 
-    for r in range(len(pofs) - 1, -1, -1):
-        L = pofs[r]
-        if not L:
+    anti = index.anti_basis
+    # by each vertex's empty-pof record, i.e. by level, farthest first
+    for ins in sorted(ingoing, key=itemgetter(0), reverse=True):
+        if len(ins) == 1:
             continue
-        if phi[r] == 0:
-            phi[r] = len(L)  # mu[r] already holds the record's anti-basis
-        reach = phi[r]
-        wit = mu[r]
-        for t in ingoing[basis[r]]:
-            X = pofs[t]
-            if not X:
-                continue
-            inc_low = incident[basis[t]]
-            blocked = False
-            for c in L:
-                if c in inc_low:
-                    blocked = True
-                    break
-            if not blocked:
-                cand = len(X) + reach
-                if cand > phi[t]:
-                    phi[t] = cand
-                    mu[t] = wit
+        b = anti[ins[0]]
+        outs = outgoing[b]
+        masks = None
+        if (len(outs) - 1) * (len(ins) - 1) > 2 * len(outs) + len(ins):
+            masks = local_masks(index, incident, outs, ins)  # else light
+        if masks is None:
+            tops = outs[:0:-1]  # descending r: the larger r wins ties
+            for t in ins[1:]:
+                inc_low = incident[basis[t]]
+                reach, wit = 0, b
+                for r in tops:
+                    p = phi[r]
+                    if p > reach:
+                        for c in pofs[r]:
+                            if c in inc_low:
+                                break
+                        else:
+                            reach, wit = p, mu[r]
+                phi[t] = len(pofs[t]) + reach
+                mu[t] = wit
+            continue
+        k, out_masks, in_masks = masks
+        best = [-1] * (1 << k)
+        for r, m in zip(outs, out_masks):
+            best[m] = phi[r] * R + r
+        subset_max(best, k)
+        full = len(best) - 1
+        for t, m in zip(ins[1:], in_masks):
+            reach, r = divmod(best[full ^ m], R)
+            phi[t] = len(pofs[t]) + reach
+            mu[t] = mu[r]

@@ -7,22 +7,58 @@ All opposite queries for m are answered at once, in one of two regimes set
 by k, the number of classes that occur in m's pofs:
 
 * dense, 2^k at most twice the pof count (hypercubes, grids, most tree
-  vertices): each pof becomes a k-bit mask, and a subset-min transform over
-  all 2^k masks gives, for every mask, the best-ranked pof inside it; the
-  opposite of L is read at the complement of L's mask.
+  vertices): ``pof_masks`` makes each pof a k-bit mask, and ``subset_max``
+  over reversed rank positions gives, for every mask, the best-ranked pof
+  inside it; the opposite of L is read at the complement of L's mask.
+  phi and psi reuse both helpers at their heavy vertices.
 * sparse (hubs such as the centre of a large star): a memo table maps a
   blocked class set to the best pof avoiding it, and a query for L blocks,
   one at a time, the smallest class that L shares with the current best pof
   until that pof is disjoint from L. Its keys are the nodes of the paper's
   opposite tree.
 
-A vertex with the empty pof alone is its own opposite. The best value of
+A vertex with the empty pof alone is its own opposite; with one outgoing
+edge as well, the two are each other's opposite. The best value of
 phi(m, L) + phi(m, op(L)) over all m is the graph diameter, realized by the
 two witnesses.
 """
 from __future__ import annotations
 
 from .cubes import CubeIndex
+
+
+def pof_masks(pofs):
+    """One bit per class occurring in the distinct ``pofs``, as
+    ``(bit, mask)`` with ``mask`` mapping each pof, in input order, to the
+    OR of its classes' bits; None when the pofs use k classes with 2^k
+    above twice their count (a sparse vertex). It stops at the first class
+    past that limit, so a hub never builds a degree-sized int."""
+    limit = (2 * len(pofs)).bit_length()
+    bit, mask = {}, {}
+    for pof in pofs:
+        m = 0
+        for c in pof:
+            b = bit.get(c)
+            if b is None:
+                if len(bit) + 1 >= limit:
+                    return None
+                b = bit[c] = 1 << len(bit)
+            m |= b
+        mask[pof] = m
+    return bit, mask
+
+
+def subset_max(table, k) -> None:
+    """In place over k-bit masks: ``table[M]`` becomes the largest
+    ``table[S]`` over all S inside M, in k passes over the 2^k masks."""
+    size = 1 << k
+    for i in range(k):
+        b = 1 << i
+        for m in range(size):
+            if m & b:
+                x = table[m ^ b]
+                if x > table[m]:
+                    table[m] = x
 
 
 def opposite_records(entries) -> list:
@@ -33,39 +69,24 @@ def opposite_records(entries) -> list:
     vertex itself is an endpoint. The opposite of L is the first entry
     disjoint from L in the ranking by ``(-weight, len(pof), pof)``, so
     argmax ties prefer smaller pofs, then lexicographic class lists.
-    The vertex is dense when its pofs use k classes in all and 2^k is at
-    most twice its pof count; a subset-min table answers it. Any other
-    vertex (a hub, where k is about the degree) gets a memo table.
+    A dense vertex (``pof_masks`` gives its bits) is answered by a subset
+    transform over rank positions; any other vertex (a hub, where k is
+    about the degree) gets a memo table.
     """
     entries = list(entries)
     ranked = sorted(entries, key=lambda e: (-e[1], len(e[0]), e[0]))
-    # one bit per class; give up as soon as 2^k > 2 * #pofs, before a
-    # hub's degree-sized mask is ever formed
-    limit = (2 * len(ranked)).bit_length()
-    bit, mask = {}, {}
-    for pof, _, _ in ranked:
-        m = 0
-        for c in pof:
-            b = bit.get(c)
-            if b is None:
-                if len(bit) + 1 >= limit:
-                    return _memo_opposites(entries, ranked)
-                b = bit[c] = 1 << len(bit)
-            m |= b
-        mask[pof] = m
-    # best[M]: smallest rank position of a pof whose mask is inside M
-    size = 1 << len(bit)
-    best = [len(ranked)] * size
-    for pos in range(len(ranked) - 1, -1, -1):
-        best[mask[ranked[pos][0]]] = pos
-    for b in bit.values():
-        for m in range(size):
-            if m & b:
-                x = best[m ^ b]
-                if x < best[m]:
-                    best[m] = x
-    full = size - 1
-    return [ranked[best[full ^ mask[pof]]][2] for pof, _, _ in entries]
+    dense = pof_masks([e[0] for e in entries])
+    if dense is None:
+        return _memo_opposites(entries, ranked)
+    bit, mask = dense
+    # best[M]: last - (smallest rank position of a pof inside M)
+    last = len(ranked) - 1
+    best = [-1] * (1 << len(bit))
+    for pos, e in enumerate(ranked):
+        best[mask[e[0]]] = last - pos
+    subset_max(best, len(bit))
+    full = len(best) - 1
+    return [ranked[last - best[full ^ m]][2] for m in mask.values()]
 
 
 def _memo_opposites(entries, ranked) -> list:
@@ -104,11 +125,11 @@ def compute_opposites(index: CubeIndex) -> None:
     pofs, phi = index.pof, index.phi
     opp = [0] * len(index)
     for rids in index.outgoing:
-        if len(rids) == 1:  # only the empty pof: its own opposite
-            opp[rids[0]] = rids[0]
+        if len(rids) <= 2:  # () alone, or () and one edge: no table
+            opp[rids[0]], opp[rids[-1]] = rids[-1], rids[0]
             continue
-        for r, o in zip(rids, opposite_records((pofs[r], phi[r], r)
-                                               for r in rids)):
+        for r, o in zip(rids, opposite_records([(pofs[r], phi[r], r)
+                                                for r in rids])):
             opp[r] = o
     index.opp = opp
 

@@ -121,6 +121,82 @@ def scan_opposites(entries):
             for pof, _, _ in entries]
 
 
+def scan_phi(index, theta):
+    """phi and mu of every record by the plain backward record sweep:
+    each record r pairs with every ingoing record t of r's basis, and a
+    class of r's pof incident to t's basis blocks the pair. Ties keep the
+    first, i.e. largest, r. Returns fresh lists; ``index`` is unchanged."""
+    incident = theta.incident
+    pofs, basis, ingoing = index.pof, index.basis, index.ingoing
+    phi = [0] * len(pofs)
+    mu = list(index.anti_basis)
+
+    for r in range(len(pofs) - 1, -1, -1):
+        L = pofs[r]
+        if not L:
+            continue
+        if phi[r] == 0:
+            phi[r] = len(L)  # mu[r] already holds the record's anti-basis
+        reach = phi[r]
+        wit = mu[r]
+        for t in ingoing[basis[r]]:
+            X = pofs[t]
+            if not X:
+                continue
+            inc_low = incident[basis[t]]
+            blocked = False
+            for c in L:
+                if c in inc_low:
+                    blocked = True
+                    break
+            if not blocked:
+                cand = len(X) + reach
+                if cand > phi[t]:
+                    phi[t] = cand
+                    mu[t] = wit
+    return phi, mu
+
+
+def scan_psi(index, theta):
+    """psi and psi_witness of every record by the plain forward record
+    sweep over ``index.phi``, ``index.mu`` and ``index.opp``: each record
+    pairs with every ingoing record of its basis. Ties keep the opposite,
+    then the smallest ingoing record id. Returns fresh lists."""
+    incident = theta.incident
+    pofs, phi, mu = index.pof, index.phi, index.mu
+    basis, ingoing, opp = index.basis, index.ingoing, index.opp
+    psi = [-1] * len(pofs)
+    psiw = [-1] * len(pofs)
+
+    for r in range(len(pofs)):
+        X = pofs[r]
+        if not X:
+            continue
+        low = basis[r]
+        o = opp[r]
+        size = len(X)
+        best = size + phi[o]
+        wit = mu[o]
+        for t in ingoing[low]:
+            if not pofs[t]:
+                continue
+            inc_lower = incident[basis[t]]
+            blocked = False
+            for c in X:
+                if c in inc_lower:
+                    blocked = True
+                    break
+            if blocked:
+                continue
+            cand = size + psi[t]
+            if cand > best:
+                best = cand
+                wit = psiw[t]
+        psi[r] = best
+        psiw[r] = wit
+    return psi, psiw
+
+
 def small_corpus_graphs():
     """Named median graphs up to ~130 vertices for module-level checks."""
     graphs = [(name, fixture(name))

@@ -4,10 +4,14 @@ import random
 
 import pytest
 
-from helpers import brute_phi_table, is_pof, ortho_pairs, record_id
+from helpers import (brute_phi_table, is_pof, ortho_pairs, record_id,
+                     scan_phi, scan_psi)
 
-from medianecc import build_graph, compute_phi, compute_theta, enumerate_cubes
-from medianecc.generators import fixture, gen_hypercube, gen_tree
+from medianecc import (build_graph, compute_opposites, compute_phi,
+                       compute_psi, compute_theta, enumerate_cubes)
+from medianecc.generators import (cartesian_product, fixture, gen_hypercube,
+                                  gen_tree, peripheral_expansion)
+from medianecc.labels import local_masks
 from medianecc.oracle import distance_matrix, ladder_set_oracle
 
 # a strip of squares climbing from the basepoint into a 3-cube; vertex 2
@@ -76,6 +80,53 @@ def test_phi_matches_brute_table_with_valid_witnesses(small_corpus):
             lad = ladder_set_oracle(g, theta, u, wit,
                                     dist_from_v=list(dist[wit]))
             assert lad == index.pof[rid], (name, key)
+
+
+def test_labels_match_pair_scans(monkeypatch, small_corpus):
+    # heavy vertices take the subset-max transform, light ones the pair
+    # loop; both must give the plain record sweeps' labels and witnesses
+    paths = {"labels": [0, 0], "eccentricity": [0, 0]}
+
+    def counting(stage):
+        def wrapped(*args):
+            out = local_masks(*args)
+            paths[stage][out is not None] += 1
+            return out
+        return wrapped
+
+    for stage in paths:
+        monkeypatch.setattr(f"medianecc.{stage}.local_masks", counting(stage))
+    graphs = list(small_corpus)
+    graphs += [(f"cube{k}", gen_hypercube(k)) for k in range(1, 8)]
+    for b, seed in [(8, 1), (12, 2)]:  # Q3 x tree is all light, Q4 x tree not
+        for k in (3, 4):
+            graphs.append((f"cube{k}_tree{b}", cartesian_product(
+                gen_hypercube(k), gen_tree(b, seed))))
+    graphs.append(("expand5_30", peripheral_expansion(gen_tree(1, 0), 5, 30,
+                                                      max_n=300)))
+    # from its last vertex, a heavy vertex of this one sees an opposite
+    # tie with an ingoing psi that has another witness
+    g = peripheral_expansion(gen_tree(1, 0), 116, 40, max_n=400)
+    graphs.append(("expand116_40", g, g.n - 1))
+
+    def check():
+        for name, g, *v0 in graphs:
+            theta = compute_theta(g, *v0)
+            index = enumerate_cubes(g, theta)
+            compute_phi(index, theta)
+            assert (index.phi, index.mu) == scan_phi(index, theta), name
+            compute_opposites(index)
+            compute_psi(index, theta)
+            assert (index.psi, index.psi_witness) == scan_psi(index, theta), \
+                name
+
+    check()
+    # both paths ran in both stages: [light calls, heavy calls]
+    assert all(light and heavy for light, heavy in paths.values()), paths
+    # again with every dense vertex that the sweeps offer to local_masks on
+    # the transform, so its tie rules meet ties that light vertices see
+    monkeypatch.setattr("medianecc.labels._transform_cost", lambda k, n: -1)
+    check()
 
 
 def test_ladder_set_of_a_vertex_with_itself_is_empty(small_corpus):
