@@ -8,9 +8,8 @@ exhaustive cross-checks. The generators and named fixtures live in
 """
 from .cubes import CubeIndex, enumerate_cubes
 from .eccentricity import EccReport, compute_psi, eccentricities
-from .graph import (BipartiteCheck, Graph, GraphFormatError,
-                    GraphValidationError, bfs, build_graph, check_bipartite,
-                    load_graph, save_graph)
+from .graph import (Graph, GraphFormatError, GraphValidationError, bfs,
+                    build_graph, load_graph, save_graph)
 from .heuristics import SweepResult, sweep2, sweep4
 from .labels import compute_phi
 from .opposites import compute_opposites, diameter_via_upsilon, upsilon
@@ -20,11 +19,10 @@ from .theta import NonMedianGraphError, ThetaDecomposition, compute_theta
 __version__ = "0.1.0"
 
 __all__ = [
-    "BipartiteCheck", "CubeIndex", "EccReport", "Graph", "GraphFormatError",
+    "CubeIndex", "EccReport", "Graph", "GraphFormatError",
     "GraphValidationError", "NonMedianGraphError", "PipelineResult",
     "SweepResult", "ThetaDecomposition", "bfs", "build_graph",
-    "check_bipartite", "compute_opposites", "compute_phi", "compute_psi",
-    "compute_theta", "diameter_via_upsilon", "eccentricities",
-    "enumerate_cubes", "load_graph", "run_pipeline", "save_graph", "sweep2",
-    "sweep4", "upsilon",
+    "compute_opposites", "compute_phi", "compute_psi", "compute_theta",
+    "diameter_via_upsilon", "eccentricities", "enumerate_cubes",
+    "load_graph", "run_pipeline", "save_graph", "sweep2", "sweep4", "upsilon",
 ]

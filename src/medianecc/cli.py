@@ -12,8 +12,8 @@ from pathlib import Path
 from .cubes import enumerate_cubes
 from .generators import (FIXTURE_NAMES, cartesian_product, fixture, gen_grid,
                          gen_hypercube, gen_tree, peripheral_expansion)
-from .graph import (Graph, GraphFormatError, GraphValidationError,
-                    check_bipartite, load_graph, save_graph)
+from .graph import (Graph, GraphFormatError, GraphValidationError, bfs,
+                    load_graph, save_graph)
 from .heuristics import sweep2, sweep4
 from .labels import compute_phi
 from .opposites import compute_opposites, diameter_via_upsilon
@@ -55,8 +55,10 @@ def _cmd_check(args) -> int:
     from .oracle import is_median
 
     g = _read_graph(args.file)
-    bip = check_bipartite(g)
-    print(f"bipartite {'true' if bip.is_bipartite else 'false'}")
+    # connected: bipartite iff no edge joins two vertices of one BFS level
+    dist = bfs(g, 0)
+    bip = all(dist[u] != dist[v] for u, v in g.edges)
+    print(f"bipartite {'true' if bip else 'false'}")
     verdict = is_median(g, samples=args.samples, seed=args.seed,
                         budget=args.budget)
     print(f"median {'true' if verdict.is_median else 'false'}"

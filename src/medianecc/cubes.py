@@ -4,12 +4,18 @@ Every induced hypercube of a median graph is identified by its anti-basis
 (farthest-from-v0 corner) together with the set of classes of its edges,
 which is a pairwise-orthogonal family (pof) and a subset of the anti-basis'
 ingoing classes. Conversely each such subset yields one hypercube, so the
-enumeration walks every vertex in basepoint-BFS order and emits one record
+enumeration visits every vertex in basepoint-BFS order and emits one record
 per subset of its ingoing classes, the empty set included (0-cubes).
 
-Records are stored as parallel arrays; label slots (phi/mu/psi/...) are
-filled by later passes. The record list keeps anti-bases in nondecreasing
-distance from v0, which is the order those passes rely on.
+Layout: records are parallel arrays, with label slots (phi/mu/psi/...)
+filled by later passes. The records of anti-basis v are the contiguous ids
+``ingoing[v]``, one per mask M over v's ingoing classes ``in_classes[v]``,
+and record ``ingoing[v][M]`` has the classes of M's bits as its pof.
+Anti-bases come in nondecreasing distance from v0, the order those passes
+rely on. Recurrence: with h the top bit of M, the basis of record M is one
+edge of class ``in_classes[v][h]`` away from the basis of record
+``M ^ 1<<h``, and its pof is that record's pof plus that class, so each
+record costs one edge step and one level check.
 """
 from __future__ import annotations
 
@@ -22,25 +28,26 @@ from .theta import NonMedianGraphError, ThetaDecomposition
 class CubeIndex:
     """All hypercube records.
 
-    ``outgoing[v]`` / ``ingoing[v]`` list record ids whose basis /
-    anti-basis is v, in enumeration order.
+    ``outgoing[v]`` lists the record ids whose basis is v, ascending;
+    ``ingoing[v]`` is the id range of the records whose anti-basis is v,
+    led by its empty pof, so ``basis[ingoing[v][0]] == v``. ``mu`` starts
+    as each record's basis (phi 0, reached at distance 0).
     """
 
-    __slots__ = ("n", "dimension", "basis", "anti_basis", "pof", "phi", "mu",
-                 "psi", "psi_witness", "outgoing", "ingoing", "opp")
+    __slots__ = ("n", "dimension", "basis", "pof", "phi", "mu", "psi",
+                 "psi_witness", "outgoing", "ingoing", "opp")
 
     def __init__(self, n: int):
         self.n = n
         self.dimension = 0
         self.basis: list = []
-        self.anti_basis: list = []
         self.pof: list = []
         self.phi: list = []
         self.mu: list = []
         self.psi: list = []
         self.psi_witness: list = []
         self.outgoing: list = [[] for _ in range(n)]
-        self.ingoing: list = [[] for _ in range(n)]
+        self.ingoing: list = [range(0)] * n
         self.opp: Optional[list] = None
 
     def __len__(self) -> int:
@@ -61,10 +68,10 @@ def enumerate_cubes(g: Graph, theta: ThetaDecomposition,
                     max_dim: int = 20) -> CubeIndex:
     """Emit one record per (anti-basis vertex, subset of ingoing classes).
 
-    For each subset the basis is found by walking one incident edge per
-    class, in ascending class order; the landing vertex must sit exactly
-    |pof| levels closer to v0. Any missing edge along the walk marks
-    non-median input.
+    A record's basis is its anti-basis walked down one incident edge per
+    class, in ascending class order; the walk reuses the record without
+    the last class, so it takes one step. Each step must land one level
+    closer to v0; a missing edge or a wrong level marks non-median input.
     """
     n = g.n
     dist0 = theta.dist0
@@ -76,9 +83,7 @@ def enumerate_cubes(g: Graph, theta: ThetaDecomposition,
         levels[dist0[v]].append(v)
 
     index = CubeIndex(n)
-    basis, anti, pofs = index.basis, index.anti_basis, index.pof
-    phi, mu = index.phi, index.mu
-    psi, psiw = index.psi, index.psi_witness
+    basis, pofs = index.basis, index.pof
     outgoing, ingoing = index.outgoing, index.ingoing
     dim = 0
 
@@ -92,32 +97,36 @@ def enumerate_cubes(g: Graph, theta: ThetaDecomposition,
                     f"supported dimension {max_dim}")
             if k > dim:
                 dim = k
-            dv = dist0[v]
-            for mask in range(1 << k):
-                pof = tuple(inc[i] for i in range(k) if mask >> i & 1)
-                w = v
-                for c in pof:
+            start = len(pofs)
+            bs, ps = [v], [()]
+            outgoing[v].append(start)
+            for h, c in enumerate(inc):
+                # masks 2^h .. 2^(h+1) - 1 extend masks 0 .. 2^h - 1 by c
+                for low in range(1 << h):
+                    w = bs[low]
+                    pof = ps[low] + (c,)
                     eid = incident[w].get(c)
                     if eid is None:
                         raise NonMedianGraphError(
                             f"walk from vertex {v} with classes {pof} "
                             f"stalled: no edge of class {c} at vertex {w}")
                     a, b = edges[eid]
-                    w = b if a == w else a
-                if dist0[w] != dv - len(pof):
-                    raise NonMedianGraphError(
-                        f"walk from vertex {v} with classes {pof} landed at "
-                        f"vertex {w}, not |pof| levels down")
-                rid = len(pofs)
-                basis.append(w)
-                anti.append(v)
-                pofs.append(pof)
-                phi.append(0)
-                mu.append(v)
-                psi.append(-1)
-                psiw.append(-1)
-                outgoing[w].append(rid)
-                ingoing[v].append(rid)
+                    x = b if a == w else a
+                    if dist0[x] != dist0[w] - 1:
+                        raise NonMedianGraphError(
+                            f"walk from vertex {v} with classes {pof} landed "
+                            f"at vertex {x}, not |pof| levels down")
+                    outgoing[x].append(start + len(bs))
+                    bs.append(x)
+                    ps.append(pof)
+            basis += bs
+            pofs += ps
+            ingoing[v] = range(start, len(pofs))
 
+    R = len(pofs)
+    index.phi = [0] * R
+    index.mu = basis[:]
+    index.psi = [-1] * R
+    index.psi_witness = [-1] * R
     index.dimension = dim
     return index

@@ -1,4 +1,4 @@
-"""Immutable graph container, edge-list I/O, BFS, and bipartiteness checks.
+"""Immutable graph container, edge-list I/O and BFS.
 
 Vertex ids are dense 0-based integers and edge ids follow input order, so
 every label and witness produced downstream is reproducible from the file.
@@ -47,28 +47,9 @@ class Graph:
     def m(self) -> int:
         return len(self.edges)
 
-    def degree(self, v: int) -> int:
-        return len(self.neighbors[v])
-
-    def edge_id(self, u: int, v: int) -> int:
-        """Edge id of (u, v); raises KeyError if absent."""
-        return self.neighbors[u][v]
-
     def other_endpoint(self, eid: int, v: int) -> int:
         a, b = self.edges[eid]
         return b if a == v else a
-
-
-@dataclass(frozen=True)
-class BipartiteCheck:
-    """Two-coloring when bipartite, otherwise an odd-cycle witness."""
-
-    parity: Optional[list]
-    odd_cycle: Optional[list]
-
-    @property
-    def is_bipartite(self) -> bool:
-        return self.odd_cycle is None
 
 
 def build_graph(n: int, edges: Sequence[tuple[int, int]],
@@ -203,43 +184,3 @@ def bfs(g: Graph, source: int) -> list:
                 dist[y] = dx
                 queue.append(y)
     return dist
-
-
-def check_bipartite(g: Graph) -> BipartiteCheck:
-    """Two-color the graph or produce an explicit odd cycle."""
-    parity = [-1] * g.n
-    parent = [-1] * g.n
-    parity[0] = 0
-    queue = deque([0])
-    while queue:
-        x = queue.popleft()
-        px = parity[x]
-        for y in g.neighbors[x]:
-            if parity[y] < 0:
-                parity[y] = px ^ 1
-                parent[y] = x
-                queue.append(y)
-            elif parity[y] == px:
-                return BipartiteCheck(parity=None,
-                                      odd_cycle=_odd_cycle(parent, x, y))
-    return BipartiteCheck(parity=parity, odd_cycle=None)
-
-
-def _odd_cycle(parent: list, x: int, y: int) -> list:
-    """Close the cycle through edge (x, y) using the BFS parent forest.
-
-    Both endpoints sit at equal-parity depths, so the walk x..lca..y plus
-    the edge (y, x) has odd length.
-    """
-    def ancestors(v: int) -> list:
-        chain = [v]
-        while parent[chain[-1]] >= 0:
-            chain.append(parent[chain[-1]])
-        return chain
-
-    ax, ay = ancestors(x), ancestors(y)
-    pos_x = {v: i for i, v in enumerate(ax)}
-    for j, v in enumerate(ay):
-        if v in pos_x:
-            return ax[:pos_x[v] + 1] + ay[:j][::-1]
-    raise AssertionError("BFS forest of a connected graph must share a root")

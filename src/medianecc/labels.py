@@ -73,12 +73,11 @@ def compute_phi(index: CubeIndex, theta: ThetaDecomposition) -> None:
     basis, ingoing, outgoing = index.basis, index.ingoing, index.outgoing
     R = len(pofs)
 
-    anti = index.anti_basis
     # by each vertex's empty-pof record, i.e. by level, farthest first
     for ins in sorted(ingoing, key=itemgetter(0), reverse=True):
         if len(ins) == 1:
             continue
-        b = anti[ins[0]]
+        b = basis[ins[0]]
         outs = outgoing[b]
         masks = None
         if (len(outs) - 1) * (len(ins) - 1) > 2 * len(outs) + len(ins):

@@ -1,6 +1,6 @@
 """Brute-force ground truth: all-pairs distances, eccentricities, median
-verdicts, convexity and gatedness, and the BFS-based halfspace, ladder-set
-and milestone references for the pipeline's structural lemmas.
+verdicts, and the BFS-based halfspace, ladder-set and milestone references
+for the pipeline's structural lemmas.
 
 Everything here is definitional and independent of the label pipeline, so
 it can be used to check it. Distances come from per-source unit-weight
@@ -9,7 +9,7 @@ searches done in compiled code; the triple checks are vectorized.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Optional
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -138,51 +138,6 @@ def medians_of_triple(d: np.ndarray, x: int, y: int, z: int) -> list:
 def interval_vertices(d: np.ndarray, u: int, v: int) -> list:
     """Vertices on shortest (u, v)-paths."""
     return [int(w) for w in np.where(d[u] + d[v] == d[u, v])[0]]
-
-
-def is_convex(g: Graph, subset: Iterable, dist: Optional[np.ndarray] = None,
-              budget: int = 5000) -> bool:
-    """True when every interval between subset vertices stays inside it."""
-    d = dist if dist is not None else distance_matrix(g, budget)
-    s = np.fromiter(sorted(set(subset)), dtype=np.int64,
-                    count=len(set(subset)))
-    if s.size <= 1:
-        return True
-    mask = np.zeros(g.n, dtype=bool)
-    mask[s] = True
-    out = np.where(~mask)[0]
-    if out.size == 0:
-        return True
-    d_s_out = d[np.ix_(s, out)]
-    for i, u in enumerate(s):
-        leak = d_s_out[i][None, :] + d_s_out == d[u, s][:, None]
-        if leak.any():
-            return False
-    return True
-
-
-def is_gated(g: Graph, subset: Iterable, dist: Optional[np.ndarray] = None,
-             budget: int = 5000) -> bool:
-    """True when every outside vertex has a gate into the subset.
-
-    A gate of v is a subset vertex lying on a shortest path from v to every
-    subset vertex.
-    """
-    d = dist if dist is not None else distance_matrix(g, budget)
-    s = np.fromiter(sorted(set(subset)), dtype=np.int64,
-                    count=len(set(subset)))
-    if s.size == 0:
-        return True
-    mask = np.zeros(g.n, dtype=bool)
-    mask[s] = True
-    out = np.where(~mask)[0]
-    d_ss = d[np.ix_(s, s)]
-    for v in out:
-        dvs = d[v, s]
-        gates = (dvs[:, None] + d_ss == dvs[None, :]).all(axis=1)
-        if not gates.any():
-            return False
-    return True
 
 
 def halfspace_sides(g: Graph, theta: ThetaDecomposition, cls: int) -> list:

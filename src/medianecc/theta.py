@@ -6,6 +6,16 @@ every class is a perfect-matching cutset whose removal leaves exactly two
 components (the halfspaces). Orienting every edge away from a basepoint v0
 gives each vertex its ingoing / outgoing class sets, the raw material for
 the cube enumeration.
+
+Median graphs are the 1-skeleta of CAT(0) cube complexes (Chepoi 2000),
+which by Gromov's criterion are the simply connected ones with flag links.
+The simply connected half is checked here: any two ingoing edges of a
+vertex must close a square two levels down. On any cycle, both cycle edges
+at its vertex farthest from v0 point into it, so their square replaces
+them by two edges one level lower, shortening the cycle's total distance
+to v0; repeating this contracts every cycle through squares. The link half
+(three edges at a vertex that pairwise span squares span a 3-cube) is not
+checked yet, so some non-median inputs pass (ROADMAP item 1).
 """
 from __future__ import annotations
 

@@ -5,11 +5,13 @@ label pipeline it is used to check.
 """
 from __future__ import annotations
 
+import numpy as np
+
 from medianecc import bfs, build_graph
 from medianecc.generators import (cartesian_product, fixture, gen_grid,
                                   gen_hypercube, gen_tree,
                                   peripheral_expansion)
-from medianecc.oracle import ladder_set_oracle
+from medianecc.oracle import distance_matrix, ladder_set_oracle
 
 
 def quick_dimension(g):
@@ -77,6 +79,49 @@ def median_of(dist, x, y, z):
     return meds[0]
 
 
+def is_convex(g, subset, dist=None, budget=5000):
+    """True when every interval between subset vertices stays inside it."""
+    d = dist if dist is not None else distance_matrix(g, budget)
+    s = np.fromiter(sorted(set(subset)), dtype=np.int64,
+                    count=len(set(subset)))
+    if s.size <= 1:
+        return True
+    mask = np.zeros(g.n, dtype=bool)
+    mask[s] = True
+    out = np.where(~mask)[0]
+    if out.size == 0:
+        return True
+    d_s_out = d[np.ix_(s, out)]
+    for i, u in enumerate(s):
+        leak = d_s_out[i][None, :] + d_s_out == d[u, s][:, None]
+        if leak.any():
+            return False
+    return True
+
+
+def is_gated(g, subset, dist=None, budget=5000):
+    """True when every outside vertex has a gate into the subset.
+
+    A gate of v is a subset vertex lying on a shortest path from v to every
+    subset vertex.
+    """
+    d = dist if dist is not None else distance_matrix(g, budget)
+    s = np.fromiter(sorted(set(subset)), dtype=np.int64,
+                    count=len(set(subset)))
+    if s.size == 0:
+        return True
+    mask = np.zeros(g.n, dtype=bool)
+    mask[s] = True
+    out = np.where(~mask)[0]
+    d_ss = d[np.ix_(s, s)]
+    for v in out:
+        dvs = d[v, s]
+        gates = (dvs[:, None] + d_ss == dvs[None, :]).all(axis=1)
+        if not gates.any():
+            return False
+    return True
+
+
 def ortho_pairs(index):
     """Orthogonal class pairs (i, j), i < j: the class sets of the 2-cubes."""
     return {p for p in index.pof if len(p) == 2}
@@ -98,6 +143,14 @@ def is_pof(pairs, classes):
     return True
 
 
+def anti_bases(index):
+    """Anti-basis of every record: v owns the id range ``ingoing[v]``."""
+    anti = [0] * len(index)
+    for v, ids in enumerate(index.ingoing):
+        anti[ids.start:ids.stop] = [v] * len(ids)
+    return anti
+
+
 def record_id(index, pof, basis=None, anti_basis=None):
     """Id of the record with class set ``pof`` at the given basis, or at
     the given anti-basis; also asserts no two records share a basis and a
@@ -105,7 +158,7 @@ def record_id(index, pof, basis=None, anti_basis=None):
     keys = list(zip(index.basis, index.pof))
     assert len(set(keys)) == len(keys), "two cubes share basis and classes"
     ends, v = ((index.basis, basis) if anti_basis is None
-               else (index.anti_basis, anti_basis))
+               else (anti_bases(index), anti_basis))
     for r in range(len(index)):
         if ends[r] == v and index.pof[r] == tuple(pof):
             return r
@@ -129,7 +182,7 @@ def scan_phi(index, theta):
     incident = theta.incident
     pofs, basis, ingoing = index.pof, index.basis, index.ingoing
     phi = [0] * len(pofs)
-    mu = list(index.anti_basis)
+    mu = anti_bases(index)
 
     for r in range(len(pofs) - 1, -1, -1):
         L = pofs[r]

@@ -9,14 +9,15 @@ import time
 
 import pytest
 
-from helpers import acceptance_corpus_graphs, ortho_pairs, orthogonal
+from helpers import (acceptance_corpus_graphs, anti_bases, is_convex, is_gated,
+                     ortho_pairs, orthogonal)
 
 from medianecc import bfs, run_pipeline, sweep2, sweep4
 from medianecc.generators import fixture, gen_grid, gen_hypercube
 from medianecc.opposites import diameter_via_upsilon
 from medianecc.oracle import (brute_eccentricities, distance_matrix,
-                              halfspace_sides, is_convex, is_gated,
-                              ladder_set_oracle, milestones_oracle)
+                              halfspace_sides, ladder_set_oracle,
+                              milestones_oracle)
 
 
 @pytest.fixture(scope="module")
@@ -156,7 +157,7 @@ def _check_shortest_path_classes(g, theta, dist, rng):
         while cur != v:
             nxt = rng.choice([x for x in g.neighbors[cur]
                               if dist[x][v] == dist[cur][v] - 1])
-            classes.append(theta.edge_class[g.edge_id(cur, nxt)])
+            classes.append(theta.edge_class[g.neighbors[cur][nxt]])
             cur = nxt
         assert len(classes) == len(set(classes))
         assert set(classes) == sigma
@@ -184,6 +185,7 @@ def _check_penultimate_equivalence(g, theta, index, dist, rng):
     count = 0
     dist0 = theta.dist0
     pairs = ortho_pairs(index)
+    anti = anti_bases(index)
     for _ in range(15):
         v = rng.randrange(g.n)
         above_v = [u for u in range(g.n)
@@ -198,7 +200,7 @@ def _check_penultimate_equivalence(g, theta, index, dist, rng):
             pof = index.pof[rid]
             if not pof:
                 continue
-            w = index.anti_basis[rid]
+            w = anti[rid]
             cond_iii = all(
                 not all(orthogonal(pairs, c, x) for x in lbar)
                 for c in pof)

@@ -97,6 +97,15 @@ def test_check_reports_non_median(tmp_path, capsys):
     assert "theta failed" in out
 
 
+def test_check_reports_odd_cycle_as_not_bipartite(tmp_path, capsys):
+    path = tmp_path / "c5.txt"
+    path.write_text("5 5\n0 1\n1 2\n2 3\n3 4\n4 0\n", encoding="utf-8")
+    assert main(["check", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert "bipartite false" in out
+    assert "median false" in out
+
+
 def test_gen_roundtrip(tmp_path, capsys):
     out = tmp_path / "g.txt"
     assert main(["gen", "--kind", "fixture", "--name", "hstar",

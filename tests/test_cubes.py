@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import pytest
 
-from helpers import is_pof, ortho_pairs, record_id
+from helpers import anti_bases, is_pof, ortho_pairs, record_id
 
 from medianecc import (NonMedianGraphError, bfs, build_graph, compute_theta,
                        enumerate_cubes, load_graph)
@@ -36,8 +36,8 @@ def test_fig3_pof_bijection_table():
     g = fixture("fig3")
     theta, index = _index_for(g, 0)
     cls = theta.edge_class
-    e1, e2 = cls[g.edge_id(0, 2)], cls[g.edge_id(2, 5)]
-    e3, e4 = cls[g.edge_id(0, 1)], cls[g.edge_id(3, 4)]
+    e1, e2 = cls[g.neighbors[0][2]], cls[g.neighbors[2][5]]
+    e3, e4 = cls[g.neighbors[0][1]], cls[g.neighbors[3][4]]
     expected = {
         0: (), 1: (e3,), 2: (e1,), 3: tuple(sorted((e1, e3))),
         4: (e4,), 5: (e2,), 6: tuple(sorted((e2, e3))),
@@ -53,17 +53,17 @@ def test_fig3_pof_bijection_table():
 def test_pof_extension_examples():
     g = fixture("fig3")
     theta, _ = _index_for(g, 0)
-    e1 = theta.edge_class[g.edge_id(0, 2)]
+    e1 = theta.edge_class[g.neighbors[0][2]]
     assert e1 in theta.incident[0]
 
     tree = build_graph(4, [(0, 1), (1, 2), (2, 3)])
     ttheta = compute_theta(tree, 0)
-    far_class = ttheta.edge_class[tree.edge_id(2, 3)]
+    far_class = ttheta.edge_class[tree.neighbors[2][3]]
     assert far_class not in ttheta.incident[0]
 
     grid = gen_grid(2, 3)  # columns 0..2; middle cut between columns 1 and 2
     gtheta = compute_theta(grid, 0)
-    far_cut = gtheta.edge_class[grid.edge_id(1, 2)]
+    far_cut = gtheta.edge_class[grid.neighbors[1][2]]
     assert far_cut not in gtheta.incident[0]
     assert far_cut in gtheta.incident[1]
 
@@ -72,10 +72,10 @@ def test_lookup_roundtrips():
     g = fixture("fig3")
     theta, index = _index_for(g, 0)
     rid = record_id(index, (), basis=0)
-    assert index.basis[rid] == 0 and index.anti_basis[rid] == 0
+    assert index.basis[rid] == 0 and anti_bases(index)[rid] == 0
 
-    e1, e3 = (theta.edge_class[g.edge_id(0, 2)],
-              theta.edge_class[g.edge_id(0, 1)])
+    e1, e3 = (theta.edge_class[g.neighbors[0][2]],
+              theta.edge_class[g.neighbors[0][1]])
     square = tuple(sorted((e1, e3)))
     rid = record_id(index, square, anti_basis=3)
     assert index.basis[rid] == 0  # square 0-1-3-2 hangs from the basepoint
@@ -84,7 +84,7 @@ def test_lookup_roundtrips():
     q3theta, q3index = _index_for(q3, 0)
     full = tuple(range(q3theta.q))
     rid = record_id(q3index, full, basis=0)
-    assert q3index.anti_basis[rid] == 7
+    assert anti_bases(q3index)[rid] == 7
 
     with pytest.raises(KeyError, match="no hypercube"):
         record_id(index, (e1,), basis=7)
@@ -93,7 +93,7 @@ def test_lookup_roundtrips():
 def test_records_ordered_by_antibasis_level(small_corpus):
     for name, g in small_corpus:
         theta, index = _index_for(g)
-        levels = [theta.dist0[v] for v in index.anti_basis]
+        levels = [theta.dist0[v] for v in anti_bases(index)]
         assert levels == sorted(levels), name
 
 
@@ -102,10 +102,11 @@ def test_record_geometry_against_bfs(small_corpus):
         if g.n > 100:
             continue
         theta, index = _index_for(g)
+        anti_of = anti_bases(index)
         dist_cache = {}
         for rid in range(len(index)):
             basis = index.basis[rid]
-            anti = index.anti_basis[rid]
+            anti = anti_of[rid]
             pof = index.pof[rid]
             if basis not in dist_cache:
                 dist_cache[basis] = bfs(g, basis)
@@ -127,7 +128,7 @@ def _assert_full_cube(g, theta, basis, pof, name):
             if c in sub:
                 continue
             other = corners[tuple(sorted(sub + (c,)))]
-            eid = g.edge_id(vertex, other)
+            eid = g.neighbors[vertex][other]
             assert theta.edge_class[eid] == c, (name, basis, pof)
 
 
@@ -148,18 +149,57 @@ def test_empty_pof_is_a_zero_cube_per_vertex(small_corpus):
         _, index = _index_for(g)
         zero = [rid for rid in range(len(index)) if not index.pof[rid]]
         assert len(zero) == g.n
+        anti = anti_bases(index)
         for rid in zero:
-            assert index.basis[rid] == index.anti_basis[rid]
+            assert index.basis[rid] == anti[rid]
+
+
+def test_ingoing_ranges_partition_the_records(small_corpus):
+    # with this, test_records_ordered_by_antibasis_level puts them in
+    # level order
+    for name, g in small_corpus:
+        _, index = _index_for(g)
+        ranges = sorted(index.ingoing, key=lambda ids: ids.start)
+        assert all(type(ids) is range for ids in ranges), name
+        assert ranges[0].start == 0 and ranges[-1].stop == len(index), name
+        assert all(a.stop == b.start for a, b in zip(ranges, ranges[1:]))
+
+
+def test_record_layout_follows_the_ingoing_class_bits(small_corpus):
+    for name, g in small_corpus:
+        theta, index = _index_for(g)
+        for v in range(g.n):
+            ids, inc = index.ingoing[v], theta.in_classes[v]
+            assert len(ids) == 1 << len(inc), (name, v)
+            assert index.basis[ids[0]] == v, (name, v)
+            for mask, rid in enumerate(ids):
+                bits = tuple(c for i, c in enumerate(inc) if mask >> i & 1)
+                assert index.pof[rid] == bits, (name, v, mask)
 
 
 def test_walk_failure_on_inconsistent_decomposition():
     g = build_graph(3, [(0, 1), (1, 2)])
     theta = compute_theta(g, 0)
     # claim vertex 2 has an ingoing class that has no edge there
-    missing = theta.edge_class[g.edge_id(0, 1)]
+    missing = theta.edge_class[g.neighbors[0][1]]
     broken = replace(theta, in_classes=theta.in_classes[:2]
                      + (tuple(sorted(theta.in_classes[2] + (missing,))),))
     with pytest.raises(NonMedianGraphError, match="stalled"):
+        enumerate_cubes(g, broken)
+
+
+def test_walk_refusal_on_an_upward_landing():
+    g = build_graph(3, [(0, 1), (1, 2)])
+    theta = compute_theta(g, 0)
+    # claim edge (1, 2), which points up from vertex 1, is ingoing there
+    up = theta.edge_class[g.neighbors[1][2]]
+    broken = replace(theta, in_classes=(theta.in_classes[0],
+                                        tuple(sorted(theta.in_classes[1]
+                                                     + (up,))),
+                                        theta.in_classes[2]))
+    with pytest.raises(NonMedianGraphError,
+                       match=r"classes \(1,\) landed at vertex 2, "
+                             r"not \|pof\| levels down"):
         enumerate_cubes(g, broken)
 
 

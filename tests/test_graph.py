@@ -5,7 +5,7 @@ import random
 import pytest
 
 from medianecc import (GraphFormatError, GraphValidationError, bfs,
-                       build_graph, check_bipartite, load_graph, save_graph)
+                       build_graph, load_graph, save_graph)
 from medianecc.generators import fixture, gen_grid, gen_hypercube
 
 
@@ -113,40 +113,13 @@ def test_bfs_metric_symmetry_and_triangle():
             assert rows[x][z] <= rows[x][y] + rows[y][z]
 
 
-def test_bipartite_square_alternates():
-    g = build_graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
-    res = check_bipartite(g)
-    assert res.is_bipartite
-    for u, v in g.edges:
-        assert res.parity[u] != res.parity[v]
-
-
-@pytest.mark.parametrize("n,edges", [
-    (3, [(0, 1), (1, 2), (0, 2)]),
-    (5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)]),
-])
-def test_bipartite_failure_yields_odd_cycle(n, edges):
-    g = build_graph(n, edges)
-    res = check_bipartite(g)
-    assert not res.is_bipartite
-    cyc = res.odd_cycle
-    assert len(cyc) % 2 == 1 and len(cyc) >= 3
-    assert len(set(cyc)) == len(cyc)
-    for i in range(len(cyc)):
-        assert cyc[(i + 1) % len(cyc)] in g.neighbors[cyc[i]]
-
-
-def test_bipartite_gstar():
-    assert check_bipartite(fixture("gstar")).is_bipartite
-
-
 def test_edge_helpers():
     g = fixture("gstar")
-    eid = g.edge_id(3, 4)
+    eid = g.neighbors[3][4]
     assert g.edges[eid] in {(3, 4), (4, 3)}
     assert g.other_endpoint(eid, 3) == 4
     with pytest.raises(KeyError):
-        g.edge_id(0, 4)
+        g.neighbors[0][4]
 
 
 def test_single_vertex_graph():

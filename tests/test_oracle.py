@@ -4,11 +4,13 @@ import random
 
 import pytest
 
+from helpers import is_convex, is_gated
+
 from medianecc import bfs, build_graph, compute_theta
 from medianecc.generators import fixture, gen_grid, gen_hypercube, gen_tree
 from medianecc.oracle import (brute_eccentricities, distance_matrix,
-                              halfspace_sides, interval_vertices, is_convex,
-                              is_gated, is_median, medians_of_triple)
+                              halfspace_sides, interval_vertices, is_median,
+                              medians_of_triple)
 
 
 def test_distance_matrix_matches_bfs():

@@ -32,8 +32,8 @@ def _labeled(g, v0=0):
 def test_phi_on_a_path():
     g = build_graph(3, [(0, 1), (1, 2)])
     theta, index = _labeled(g)
-    first = theta.edge_class[g.edge_id(0, 1)]
-    second = theta.edge_class[g.edge_id(1, 2)]
+    first = theta.edge_class[g.neighbors[0][1]]
+    second = theta.edge_class[g.neighbors[1][2]]
     r = record_id(index, (first,), basis=0)
     assert index.phi[r] == 2 and index.mu[r] == 2
     r = record_id(index, (second,), basis=1)
@@ -43,8 +43,8 @@ def test_phi_on_a_path():
 def test_phi_fig3_square_label_reaches_the_far_corner():
     g = fixture("fig3")
     theta, index = _labeled(g)
-    e1, e3 = (theta.edge_class[g.edge_id(0, 2)],
-              theta.edge_class[g.edge_id(0, 1)])
+    e1, e3 = (theta.edge_class[g.neighbors[0][2]],
+              theta.edge_class[g.neighbors[0][1]])
     square = tuple(sorted((e1, e3)))
     r = record_id(index, square, basis=0)
     # brute table value for this ladder set: vertex 7 sits at distance 4
@@ -139,8 +139,8 @@ def test_ladder_set_of_a_vertex_with_itself_is_empty(small_corpus):
 def test_ladder_set_across_squares_and_cube():
     g = build_graph(*LADDER_CUBE_GRAPH)
     theta = compute_theta(g, 0)
-    toward_right = theta.edge_class[g.edge_id(2, 5)]
-    upward = theta.edge_class[g.edge_id(2, 3)]
+    toward_right = theta.edge_class[g.neighbors[2][5]]
+    upward = theta.edge_class[g.neighbors[2][3]]
     assert ladder_set_oracle(g, theta, 2, 15) == \
         tuple(sorted((toward_right, upward)))
 
@@ -162,7 +162,7 @@ def test_ladder_set_on_tree_is_first_edge_class():
         else:
             nxt = next(x for x in g.neighbors[u]
                        if dist[x][v] == dist[u][v] - 1)
-            assert lad == (theta.edge_class[g.edge_id(u, nxt)],)
+            assert lad == (theta.edge_class[g.neighbors[u][nxt]],)
 
 
 def test_ladder_sets_are_pofs(small_corpus):
@@ -219,6 +219,6 @@ def _random_shortest_path_classes(g, theta, dist, u, v, rng):
     while cur != v:
         step = rng.choice([x for x in g.neighbors[cur]
                            if dist[x][v] == dist[cur][v] - 1])
-        classes.append(theta.edge_class[g.edge_id(cur, step)])
+        classes.append(theta.edge_class[g.neighbors[cur][step]])
         cur = step
     return classes

@@ -33,8 +33,8 @@ def test_tree_classes_are_singleton_edges():
 def _fig3_classes(g, theta):
     """Class handles anchored on edges: e1=(0,2), e2=(2,5), e3=(0,1), e4=(3,4)."""
     cls = theta.edge_class
-    return (cls[g.edge_id(0, 2)], cls[g.edge_id(2, 5)],
-            cls[g.edge_id(0, 1)], cls[g.edge_id(3, 4)])
+    return (cls[g.neighbors[0][2]], cls[g.neighbors[2][5]],
+            cls[g.neighbors[0][1]], cls[g.neighbors[3][4]])
 
 
 def test_fig3_classes_match_colored_edges():
@@ -87,7 +87,7 @@ def test_halfspaces_of_square():
 def test_halfspaces_of_tree_edge_are_subtrees():
     g = build_graph(5, [(0, 1), (1, 2), (1, 3), (3, 4)])
     theta = compute_theta(g, 0)
-    c = theta.edge_class[g.edge_id(1, 3)]
+    c = theta.edge_class[g.neighbors[1][3]]
     side = halfspace_sides(g, theta, c)
     far = {v for v in range(g.n) if side[v]}
     assert far == {3, 4}
@@ -99,7 +99,7 @@ def test_halfspaces_of_augmented_ladder():
     g = build_graph(8, [(0, 1), (1, 2), (3, 4), (4, 5), (0, 3), (1, 4),
                         (2, 5), (1, 6), (5, 7)])
     theta = compute_theta(g, 0)
-    c = theta.edge_class[g.edge_id(0, 3)]
+    c = theta.edge_class[g.neighbors[0][3]]
     assert sorted(g.edges[e] for e in theta.class_edges[c]) == \
         [(0, 3), (1, 4), (2, 5)]
     side = halfspace_sides(g, theta, c)
