@@ -2,12 +2,23 @@
 
 Vertex ids are dense 0-based integers and edge ids follow input order, so
 every label and witness produced downstream is reproducible from the file.
+
+Inputs of ``FLAT_MIN_EDGES`` edges or more are parsed and validated on
+numpy arrays by ``medianecc.flat``, which is imported only then; where it
+refuses an input, the line scanner and the per-edge checks here raise the
+error and message they always have. ``Graph.neighbors`` is built on first
+read, and the pipeline never reads it on the flat path.
 """
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence
+
+# Edge count from which inputs take the flat path; medianecc.flat gives
+# the measurements behind it.
+FLAT_MIN_EDGES = 16_384
 
 
 class GraphFormatError(ValueError):
@@ -32,24 +43,24 @@ class GraphValidationError(ValueError):
 
 @dataclass(frozen=True, eq=True)
 class Graph:
-    """Simple connected undirected graph.
-
-    ``neighbors[v]`` maps each neighbor of v to the id of the edge joining
-    them, in ascending neighbor order. The graph is read-only after
-    construction.
-    """
+    """Simple connected undirected graph, read-only after construction."""
 
     n: int
     edges: tuple[tuple[int, int], ...]
-    neighbors: tuple[dict[int, int], ...]
 
     @property
     def m(self) -> int:
         return len(self.edges)
 
-    def other_endpoint(self, eid: int, v: int) -> int:
-        a, b = self.edges[eid]
-        return b if a == v else a
+    @cached_property
+    def neighbors(self) -> tuple[dict[int, int], ...]:
+        """``neighbors[v]`` maps each neighbor of v to the id of the edge
+        joining them, in ascending neighbor order; built on first read."""
+        adj_lists: list = [[] for _ in range(self.n)]
+        for i, (u, v) in enumerate(self.edges):
+            adj_lists[u].append((v, i))
+            adj_lists[v].append((u, i))
+        return tuple(dict(sorted(lst)) for lst in adj_lists)
 
 
 def build_graph(n: int, edges: Sequence[tuple[int, int]],
@@ -59,6 +70,17 @@ def build_graph(n: int, edges: Sequence[tuple[int, int]],
     ``edge_lines`` optionally maps edge position -> source line number so
     validation errors can point at the offending input line.
     """
+    if len(edges) >= FLAT_MIN_EDGES:
+        from . import flat
+        g = flat.build_graph(n, edges)
+        if g is not None:
+            return g
+    return _build_scalar(n, edges, edge_lines)
+
+
+def _build_scalar(n: int, edges: Sequence[tuple[int, int]],
+                  edge_lines: Optional[Sequence[int]]) -> Graph:
+    """build_graph one edge at a time; names the first fault it meets."""
     if n < 1:
         raise GraphValidationError(f"vertex count must be positive, got {n}")
     if len(edges) < n - 1:
@@ -70,7 +92,6 @@ def build_graph(n: int, edges: Sequence[tuple[int, int]],
         return edge_lines[i] if edge_lines is not None else None
 
     seen: set = set()
-    adj_lists: list = [[] for _ in range(n)]
     for i, (u, v) in enumerate(edges):
         if not (0 <= u < n) or not (0 <= v < n):
             raise GraphValidationError(
@@ -81,10 +102,9 @@ def build_graph(n: int, edges: Sequence[tuple[int, int]],
         if key in seen:
             raise GraphValidationError(f"duplicate edge ({u}, {v})", line_of(i))
         seen.add(key)
-        adj_lists[u].append((v, i))
-        adj_lists[v].append((u, i))
 
-    neighbors = tuple(dict(sorted(lst)) for lst in adj_lists)
+    g = Graph(n=n, edges=tuple((u, v) for u, v in edges))
+    neighbors = g.neighbors
 
     # connectivity
     if n > 1:
@@ -102,9 +122,7 @@ def build_graph(n: int, edges: Sequence[tuple[int, int]],
         if reached != n:
             raise GraphValidationError(
                 f"graph is disconnected: reached {reached} of {n} vertices from vertex 0")
-
-    return Graph(n=n, edges=tuple((u, v) for u, v in edges),
-                 neighbors=neighbors)
+    return g
 
 
 def load_graph(text: str) -> Graph:
@@ -113,6 +131,16 @@ def load_graph(text: str) -> Graph:
     Lines whose first non-blank character is ``#`` are comments. Vertex and
     edge counts must match the header exactly.
     """
+    if text.count("\n") >= FLAT_MIN_EDGES:  # a line per edge at least
+        from . import flat
+        g = flat.load_graph(text)
+        if g is not None:
+            return g
+    return _scan(text)
+
+
+def _scan(text: str) -> Graph:
+    """load_graph one line at a time; names the first bad line."""
     header = None
     edges: list = []
     edge_lines: list = []

@@ -212,7 +212,8 @@ def milestones_oracle(g: Graph, theta: ThetaDecomposition, u: int,
                 raise NonMedianGraphError(
                     f"jump from vertex {cur} stalled: no edge of class {c} "
                     f"at vertex {nxt}")
-            nxt = g.other_endpoint(eid, nxt)
+            x, y = g.edges[eid]
+            nxt = y if x == nxt else x
         if dv[nxt] != dv[cur] - len(ladder):
             raise NonMedianGraphError(
                 f"jump from vertex {cur} did not move {len(ladder)} steps "

@@ -16,12 +16,16 @@ them by two edges one level lower, shortening the cycle's total distance
 to v0; repeating this contracts every cycle through squares. The link half
 (three edges at a vertex that pairwise span squares span a 3-cube) is not
 checked yet, so some non-median inputs pass (ROADMAP item 1).
+
+Graphs of ``graph.FLAT_MIN_EDGES`` edges or more go through
+``medianecc.flat``, the same steps on numpy arrays; where it refuses a
+graph, the code here runs and raises its error.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph import Graph, bfs
+from .graph import FLAT_MIN_EDGES, Graph, bfs
 
 
 class NonMedianGraphError(RuntimeError):
@@ -62,6 +66,16 @@ def compute_theta(g: Graph, v0: int = 0) -> ThetaDecomposition:
     """
     if not (0 <= v0 < g.n):
         raise ValueError(f"basepoint {v0} out of range 0..{g.n - 1}")
+    if g.m >= FLAT_MIN_EDGES:
+        from . import flat
+        theta = flat.compute_theta(g, v0)
+        if theta is not None:
+            return theta
+    return _theta_scalar(g, v0)
+
+
+def _theta_scalar(g: Graph, v0: int) -> ThetaDecomposition:
+    """compute_theta one vertex at a time; raises at the first fault."""
     dist0 = bfs(g, v0)
     edges = g.edges
     m = g.m

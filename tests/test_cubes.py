@@ -4,7 +4,8 @@ from dataclasses import replace
 
 import pytest
 
-from helpers import anti_bases, is_pof, ortho_pairs, record_id
+from helpers import (anti_bases, is_pof, ortho_pairs, other_endpoint,
+                     record_id)
 
 from medianecc import (NonMedianGraphError, bfs, build_graph, compute_theta,
                        enumerate_cubes, load_graph)
@@ -121,7 +122,7 @@ def _assert_full_cube(g, theta, basis, pof, name):
         for sub, vertex in list(corners.items()):
             eid = theta.incident[vertex].get(c)
             assert eid is not None, (name, basis, pof)
-            corners[tuple(sorted(sub + (c,)))] = g.other_endpoint(eid, vertex)
+            corners[tuple(sorted(sub + (c,)))] = other_endpoint(g, eid, vertex)
     assert len(set(corners.values())) == 1 << len(pof), (name, basis, pof)
     for sub, vertex in corners.items():
         for c in pof:

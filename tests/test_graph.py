@@ -4,8 +4,11 @@ import random
 
 import pytest
 
+from helpers import other_endpoint
+
 from medianecc import (GraphFormatError, GraphValidationError, bfs,
                        build_graph, load_graph, save_graph)
+from medianecc import graph as graph_mod
 from medianecc.generators import fixture, gen_grid, gen_hypercube
 
 
@@ -53,6 +56,55 @@ def test_format_errors_carry_line_numbers(text, fragment, line):
         load_graph(text)
     assert fragment in str(err.value)
     assert f"line {line}" in str(err.value)
+
+
+PATH = "3 2\n0 1\n1 2\n"
+P3 = (3, ((0, 1), (1, 2)))
+
+
+@pytest.mark.parametrize("text,expected", [
+    ("# c\n3 2\n  # indented\n0 1\n#x\n1 2\n", P3),
+    ("\n3 2\n\n   \n0 1\n\n1 2\n\n", P3),
+    (PATH.replace("\n", "\r\n"), P3),
+    ("3\t2\n0\t1\n1\t\t2\n", P3),
+    ("  3 2  \n 0 1\n1 2   \n", P3),
+    ("3 2\n0 1 # first\n1 2\n",
+     (GraphFormatError, 2, "line 2: expected edge 'u v', got '0 1 # first'")),
+    ("3 2\n0 +1\n+1 2\n", P3),
+    ("3 2\n0 1.0\n1 2\n",
+     (GraphFormatError, 2, "line 2: non-integer vertex id in '0 1.0'")),
+    ("3 2\n0 1e3\n1 2\n",
+     (GraphFormatError, 2, "line 2: non-integer vertex id in '0 1e3'")),
+    ("3 2\n0 99999999999999999999\n1 2\n",
+     (GraphValidationError, 2, "line 2: edge (0, 99999999999999999999) "
+      "has a vertex id outside 0..2")),
+    ("2 1\n1 0\n", (2, ((1, 0),))),
+    ("3 2 1\n0 1\n1 2\n",
+     (GraphFormatError, 1, "line 1: expected header 'n m', got '3 2 1'")),
+    ("3 -2\n", (GraphFormatError, 1, "line 1: negative edge count -2")),
+    ("3 1\n0 1\n1 2\n",
+     (GraphFormatError, 3, "line 3: more than the declared 1 edges")),
+    ("3 2\n0 1\n",
+     (GraphFormatError, None, "header declares 2 edges but 1 were given")),
+    ("3 3\n0 1\n1 2\n1 0\n",
+     (GraphValidationError, 4, "line 4: duplicate edge (1, 0)")),
+])
+@pytest.mark.parametrize("path", ["default", "flat-first"])
+def test_input_language(text, expected, path, monkeypatch):
+    """What load_graph accepts, as the graph it gives or the error it
+    raises; "flat-first" lowers the cut so every text tries the flat
+    parser, whose refusals fall back to the line scanner."""
+    if path == "flat-first":
+        monkeypatch.setattr(graph_mod, "FLAT_MIN_EDGES", 0)
+    if isinstance(expected[0], int):
+        g = load_graph(text)
+        assert (g.n, g.edges) == expected
+        return
+    error, line, message = expected
+    with pytest.raises(error) as err:
+        load_graph(text)
+    assert type(err.value) is error
+    assert (err.value.line, str(err.value)) == (line, message)
 
 
 def test_missing_edges_is_an_error():
@@ -117,7 +169,7 @@ def test_edge_helpers():
     g = fixture("gstar")
     eid = g.neighbors[3][4]
     assert g.edges[eid] in {(3, 4), (4, 3)}
-    assert g.other_endpoint(eid, 3) == 4
+    assert other_endpoint(g, eid, 3) == 4
     with pytest.raises(KeyError):
         g.neighbors[0][4]
 

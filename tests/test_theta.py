@@ -3,7 +3,7 @@ from __future__ import annotations
 import pytest
 
 from helpers import (djokovic_classes, is_pof, ortho_pairs, orthogonal,
-                     theta_partition)
+                     other_endpoint, theta_partition)
 
 from medianecc import (NonMedianGraphError, build_graph, compute_theta,
                        enumerate_cubes)
@@ -194,7 +194,7 @@ def test_incident_maps_are_complete(small_corpus):
             # exactly the incident classes whose edge comes from closer to v0
             assert theta.in_classes[v] == tuple(sorted(
                 c for c, eid in theta.incident[v].items()
-                if dist0[g.other_endpoint(eid, v)] < dist0[v]))
+                if dist0[other_endpoint(g, eid, v)] < dist0[v]))
 
 
 def test_non_bipartite_input_raises():
