@@ -7,9 +7,9 @@ and numpy. Each returns what the caller returns, or None where a check
 fails; the caller then runs its scalar code, which raises the error and
 message it always has. So both paths give the same results and errors.
 
-- ``load_graph`` parses a plain text (decimal digits, blanks, newlines and
-  full-line comments) in one ``np.loadtxt`` call; any other text is left
-  to the line scanner.
+- ``load_graph`` parses a plain text (decimal digits, blanks and
+  newlines, as ``save_graph`` writes) in one ``np.loadtxt`` call; any
+  other text, comments and CRLF included, is left to the line scanner.
 - ``build_graph`` checks ids, self-loops, duplicate edges (as sorted
   ``min*n + max`` keys) and connectivity (``min_labels``) on arrays.
 - ``compute_theta`` takes distances from v0, checks that no edge joins
@@ -43,20 +43,14 @@ import numpy as np
 from .graph import Graph
 from .theta import ThetaDecomposition
 
-# A full-line comment as the line scanner sees one: blanks, ``#``, then
-# anything up to the next character that ``str.splitlines`` breaks at.
-_COMMENT_LINE = re.compile(
-    r"^[ \t]*#[^\n\r\v\f\x1c-\x1e\x85\u2028\u2029]*", re.MULTILINE)
-# Any other character leaves a text to the line scanner.
+# Any character but a digit, blank or newline (``#`` and ``\r`` among
+# them) leaves a text to the line scanner.
 _NOT_PLAIN = re.compile(r"[^0-9 \t\n]")
 
 
 def load_graph(text: str) -> Optional[Graph]:
     """The graph of a plain edge-list text; None for any other text and
     where a check fails."""
-    text = text.replace("\r\n", "\n")
-    if "#" in text:
-        text = _COMMENT_LINE.sub("", text)
     if _NOT_PLAIN.search(text) or not text.strip():
         return None
     try:

@@ -6,8 +6,8 @@ import pytest
 
 from helpers import other_endpoint
 
-from medianecc import (GraphFormatError, GraphValidationError, bfs,
-                       build_graph, load_graph, save_graph)
+from medianecc import (Graph, GraphFormatError, GraphValidationError, bfs,
+                       build_graph, flat, load_graph, save_graph)
 from medianecc import graph as graph_mod
 from medianecc.generators import fixture, gen_grid, gen_hypercube
 
@@ -60,17 +60,22 @@ def test_format_errors_carry_line_numbers(text, fragment, line):
 
 PATH = "3 2\n0 1\n1 2\n"
 P3 = (3, ((0, 1), (1, 2)))
+COMMENTED = "# c\n3 2\n  # indented\n0 1\n#x\n1 2\n"
+CRLF = PATH.replace("\n", "\r\n")
+PLUS = "3 2\n0 +1\n+1 2\n"
+# valid texts that the flat parser leaves to the line scanner
+SCANNER_ONLY = {COMMENTED, CRLF, PLUS}
 
 
 @pytest.mark.parametrize("text,expected", [
-    ("# c\n3 2\n  # indented\n0 1\n#x\n1 2\n", P3),
+    (COMMENTED, P3),
     ("\n3 2\n\n   \n0 1\n\n1 2\n\n", P3),
-    (PATH.replace("\n", "\r\n"), P3),
+    (CRLF, P3),
     ("3\t2\n0\t1\n1\t\t2\n", P3),
     ("  3 2  \n 0 1\n1 2   \n", P3),
     ("3 2\n0 1 # first\n1 2\n",
      (GraphFormatError, 2, "line 2: expected edge 'u v', got '0 1 # first'")),
-    ("3 2\n0 +1\n+1 2\n", P3),
+    (PLUS, P3),
     ("3 2\n0 1.0\n1 2\n",
      (GraphFormatError, 2, "line 2: non-integer vertex id in '0 1.0'")),
     ("3 2\n0 1e3\n1 2\n",
@@ -93,9 +98,16 @@ P3 = (3, ((0, 1), (1, 2)))
 def test_input_language(text, expected, path, monkeypatch):
     """What load_graph accepts, as the graph it gives or the error it
     raises; "flat-first" lowers the cut so every text tries the flat
-    parser, whose refusals fall back to the line scanner."""
+    parser, whose refusals fall back to the line scanner. The flat parser
+    itself must give the graph of every valid text but SCANNER_ONLY, and
+    None for the rest."""
     if path == "flat-first":
         monkeypatch.setattr(graph_mod, "FLAT_MIN_EDGES", 0)
+        direct = flat.load_graph(text)
+        if isinstance(expected[0], int) and text not in SCANNER_ONLY:
+            assert direct == Graph(*expected)
+        else:
+            assert direct is None
     if isinstance(expected[0], int):
         g = load_graph(text)
         assert (g.n, g.edges) == expected
