@@ -12,7 +12,7 @@ from .graph import (Graph, GraphFormatError, GraphValidationError, bfs,
                     build_graph, load_graph, save_graph)
 from .heuristics import SweepResult, sweep2, sweep4
 from .labels import compute_phi
-from .opposites import compute_opposites, diameter_via_upsilon, upsilon
+from .opposites import compute_opposites
 from .pipeline import PipelineResult, run_pipeline
 from .theta import NonMedianGraphError, ThetaDecomposition, compute_theta
 
@@ -23,6 +23,6 @@ __all__ = [
     "GraphValidationError", "NonMedianGraphError", "PipelineResult",
     "SweepResult", "ThetaDecomposition", "bfs", "build_graph",
     "compute_opposites", "compute_phi", "compute_psi", "compute_theta",
-    "diameter_via_upsilon", "eccentricities", "enumerate_cubes",
-    "load_graph", "run_pipeline", "save_graph", "sweep2", "sweep4", "upsilon",
+    "eccentricities", "enumerate_cubes", "load_graph", "run_pipeline",
+    "save_graph", "sweep2", "sweep4",
 ]

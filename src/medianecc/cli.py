@@ -16,7 +16,6 @@ from .graph import (Graph, GraphFormatError, GraphValidationError, bfs,
                     load_graph, save_graph)
 from .heuristics import sweep2, sweep4
 from .labels import compute_phi
-from .opposites import compute_opposites, diameter_via_upsilon
 from .pipeline import STAGES, run_pipeline
 from .theta import NonMedianGraphError, compute_theta
 
@@ -77,7 +76,9 @@ def _cmd_check(args) -> int:
 def _cmd_theta(args) -> int:
     g = _read_graph(args.file)
     theta = compute_theta(g, args.v0)
-    sizes = [len(e) for e in theta.class_edges]
+    sizes = [0] * theta.q
+    for c in theta.edge_class:
+        sizes[c] += 1
     print(f"q {theta.q}")
     print(f"class_sizes {','.join(str(s) for s in sizes)}")
     print(f"euler_check {2 * g.n - g.m - theta.q}")
@@ -122,12 +123,9 @@ def _cmd_phi(args) -> int:
 
 def _cmd_diam(args) -> int:
     g = _read_graph(args.file)
-    theta = compute_theta(g, args.v0)
-    index = enumerate_cubes(g, theta)
-    compute_phi(index, theta)
-    compute_opposites(index)
-    value, (a, b) = diameter_via_upsilon(index)
-    print(f"diameter {value} pair {a} {b}")
+    rep = run_pipeline(g, v0=args.v0).report
+    a, b = rep.diametral_pair
+    print(f"diameter {rep.diameter} pair {a} {b}")
     return 0
 
 

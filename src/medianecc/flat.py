@@ -134,7 +134,6 @@ def compute_theta(g: Graph, v0: int) -> Optional[ThetaDecomposition]:
         return None
     cls, q, head = found
 
-    by_class = iter(ids[np.argsort(cls, kind="stable")].tolist())
     around = zip(ids[np.repeat(cls, 2)[by_vertex]].tolist(),
                  ids[by_vertex >> 1].tolist())
     ins = iter(ids[np.sort(head * q + cls) % max(q, 1)].tolist())
@@ -143,8 +142,6 @@ def compute_theta(g: Graph, v0: int) -> Optional[ThetaDecomposition]:
         dist0=dist0,
         q=q,
         edge_class=ids[cls].tolist(),
-        class_edges=[list(islice(by_class, k))
-                     for k in np.bincount(cls).tolist()],
         incident=tuple(dict(islice(around, k)) for k in degree.tolist()),
         in_classes=tuple(tuple(islice(ins, k)) for k in
                          np.bincount(head, minlength=n).tolist()),
@@ -199,8 +196,11 @@ def _classes(n: int, ends, dist):
     want = b[pair] * n + below[aw]
     bw = np.minimum(np.searchsorted(keys, want), max(m - 1, 0))
     hit = keys[bw] == want
+    # every pair must close exactly one square; a pair that closes two (an
+    # induced K_2,3) would fail the matching or count checks below anyway,
+    # and is refused here so that the scalar code's message names it
     if (np.bincount(pair[hit], minlength=len(i)) != 1).any():
-        return None  # a pair closes no square, or two (induced K_2,3)
+        return None
     # opposite sides of square z-a-w-b: za ~ bw and zb ~ aw
     root = min_labels(m, np.concatenate((arc[i], arc[j])),
                       np.concatenate((arc[bw[hit]], arc[aw[hit]])))

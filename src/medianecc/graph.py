@@ -104,24 +104,10 @@ def _build_scalar(n: int, edges: Sequence[tuple[int, int]],
         seen.add(key)
 
     g = Graph(n=n, edges=tuple((u, v) for u, v in edges))
-    neighbors = g.neighbors
-
-    # connectivity
-    if n > 1:
-        reached = 1
-        mark = bytearray(n)
-        mark[0] = 1
-        stack = [0]
-        while stack:
-            x = stack.pop()
-            for y in neighbors[x]:
-                if not mark[y]:
-                    mark[y] = 1
-                    reached += 1
-                    stack.append(y)
-        if reached != n:
-            raise GraphValidationError(
-                f"graph is disconnected: reached {reached} of {n} vertices from vertex 0")
+    reached = n - bfs(g, 0).count(-1)
+    if reached != n:
+        raise GraphValidationError(
+            f"graph is disconnected: reached {reached} of {n} vertices from vertex 0")
     return g
 
 

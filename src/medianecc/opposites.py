@@ -1,4 +1,4 @@
-"""Per-vertex opposite lookup over weighted pofs, and the diameter from it.
+"""Per-vertex opposite lookup over weighted pofs.
 
 For a vertex m, every outgoing pof L carries the weight phi(m, L). The
 opposite of L is the maximum-weight outgoing pof disjoint from L: the first
@@ -18,9 +18,7 @@ by k, the number of classes that occur in m's pofs:
   opposite tree.
 
 A vertex with the empty pof alone is its own opposite; with one outgoing
-edge as well, the two are each other's opposite. The best value of
-phi(m, L) + phi(m, op(L)) over all m is the graph diameter, realized by the
-two witnesses.
+edge as well, the two are each other's opposite.
 """
 from __future__ import annotations
 
@@ -133,34 +131,3 @@ def compute_opposites(index: CubeIndex) -> None:
             opp[r] = o
     index.opp = opp
 
-
-def upsilon(index: CubeIndex, m: int) -> tuple:
-    """Largest d(u, v) over pairs whose basepoint median is m, as
-    (value, (u, v)).
-
-    Scans every outgoing record paired with its opposite; the empty pof
-    covers pairs where m itself is an endpoint. Requires
-    ``compute_opposites`` to have run.
-    """
-    if index.opp is None:
-        raise RuntimeError("compute_opposites must run before upsilon")
-    opp, phi, mu = index.opp, index.phi, index.mu
-    best = -1
-    best_r = best_o = -1
-    for r in index.outgoing[m]:
-        o = opp[r]
-        val = phi[r] + phi[o]
-        if val > best:
-            best = val
-            best_r, best_o = r, o
-    return best, (mu[best_r], mu[best_o])
-
-
-def diameter_via_upsilon(index: CubeIndex) -> tuple:
-    """Graph diameter and a realizing pair, as (value, (u, v)).
-
-    Deterministic: the smallest vertex m attaining the maximum wins, and
-    within it the earliest record pair in enumeration order.
-    """
-    return max((upsilon(index, m) for m in range(index.n)),
-               key=lambda res: res[0])

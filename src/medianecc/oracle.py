@@ -143,13 +143,13 @@ def interval_vertices(d: np.ndarray, u: int, v: int) -> list:
 def halfspace_sides(g: Graph, theta: ThetaDecomposition, cls: int) -> list:
     """Side of the given class's cut for each vertex; True = away from v0.
 
-    Uses the representative edge (u, v) of the class with u closer to v0:
+    Uses the class's edge of smallest id, (u, v) with u closer to v0:
     a vertex belongs to the far side exactly when it is strictly closer
     to v. A distance tie contradicts bipartiteness and raises.
     """
     if not (0 <= cls < theta.q):
         raise ValueError(f"class id {cls} out of range 0..{theta.q - 1}")
-    eid = theta.class_edges[cls][0]
+    eid = theta.edge_class.index(cls)
     u, v = g.edges[eid]
     if theta.dist0[u] > theta.dist0[v]:
         u, v = v, u

@@ -40,6 +40,8 @@ class NonMedianGraphError(RuntimeError):
 class ThetaDecomposition:
     """Edge classes plus the v0-oriented incidence indexes.
 
+    ``edge_class[e]`` is the class of edge e; classes are numbered in the
+    order of their smallest edge ids.
     ``incident[v]`` maps class id -> the unique incident edge id (classes
     are matchings, so at most one edge per class touches a vertex).
     ``in_classes[v]`` lists, ascending, the classes of the edges that point
@@ -50,7 +52,6 @@ class ThetaDecomposition:
     dist0: list
     q: int
     edge_class: list
-    class_edges: list
     incident: tuple
     in_classes: tuple
 
@@ -62,7 +63,10 @@ def compute_theta(g: Graph, v0: int = 0) -> ThetaDecomposition:
     ingoing edges there must close a 4-cycle through a unique common
     neighbor two levels down. Missing or ambiguous completions, equal-level
     edges, oversized class counts, and non-matching classes all raise
-    NonMedianGraphError.
+    NonMedianGraphError. An ambiguous completion (two common lower
+    neighbors, an induced K_2,3) is counted only for its message: without
+    that count the matching or count checks refuse the input anyway, with
+    a message that names the fault less plainly.
     """
     if not (0 <= v0 < g.n):
         raise ValueError(f"basepoint {v0} out of range 0..{g.n - 1}")
@@ -133,18 +137,9 @@ def _theta_scalar(g: Graph, v0: int) -> ThetaDecomposition:
 
     # canonical class ids: ascending minimum edge id
     root_to_cls: dict = {}
-    edge_class = [0] * m
-    class_edges: list = []
-    for eid in range(m):
-        r = find(eid)
-        c = root_to_cls.get(r)
-        if c is None:
-            c = len(class_edges)
-            root_to_cls[r] = c
-            class_edges.append([])
-        edge_class[eid] = c
-        class_edges[c].append(eid)
-    q = len(class_edges)
+    edge_class = [root_to_cls.setdefault(find(eid), len(root_to_cls))
+                  for eid in range(m)]
+    q = len(root_to_cls)
 
     if g.n > 1 and q >= g.n:
         raise NonMedianGraphError(f"class count {q} is not below n = {g.n}")
@@ -170,7 +165,6 @@ def _theta_scalar(g: Graph, v0: int) -> ThetaDecomposition:
         dist0=dist0,
         q=q,
         edge_class=edge_class,
-        class_edges=class_edges,
         incident=tuple(incident),
         in_classes=in_classes,
     )

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from medianecc import bfs, build_graph
+from medianecc import CubeIndex, bfs, build_graph
 from medianecc.generators import (cartesian_product, fixture, gen_grid,
                                   gen_hypercube, gen_tree,
                                   peripheral_expansion)
@@ -54,8 +54,16 @@ def djokovic_classes(g):
     return frozenset(groups)
 
 
+def class_edges(theta):
+    """Edge ids of every class, ascending, indexed by class id."""
+    edges = [[] for _ in range(theta.q)]
+    for eid, c in enumerate(theta.edge_class):
+        edges[c].append(eid)
+    return edges
+
+
 def theta_partition(theta):
-    return frozenset(frozenset(edges) for edges in theta.class_edges)
+    return frozenset(frozenset(edges) for edges in class_edges(theta))
 
 
 def brute_phi_table(g, theta, dist):
@@ -169,6 +177,41 @@ def record_id(index, pof, basis=None, anti_basis=None):
         if ends[r] == v and index.pof[r] == tuple(pof):
             return r
     raise KeyError(f"no hypercube at vertex {v} with classes {tuple(pof)}")
+
+
+def upsilon(index: CubeIndex, m: int) -> tuple:
+    """Largest d(u, v) over pairs whose basepoint median is m, as
+    (value, (u, v)).
+
+    Scans every outgoing record paired with its opposite; the empty pof
+    covers pairs where m itself is an endpoint. Requires
+    ``compute_opposites`` to have run.
+    """
+    if index.opp is None:
+        raise RuntimeError("compute_opposites must run before upsilon")
+    opp, phi, mu = index.opp, index.phi, index.mu
+    best = -1
+    best_r = best_o = -1
+    for r in index.outgoing[m]:
+        o = opp[r]
+        val = phi[r] + phi[o]
+        if val > best:
+            best = val
+            best_r, best_o = r, o
+    return best, (mu[best_r], mu[best_o])
+
+
+def diameter_via_upsilon(index: CubeIndex) -> tuple:
+    """Graph diameter and a realizing pair, as (value, (u, v)).
+
+    The best value of phi(m, L) + phi(m, op(L)) over all m is the graph
+    diameter, realized by the two witnesses: an independent route to the
+    diameter through ``index.opp``, next to ``EccReport.diameter``.
+    Deterministic: the smallest vertex m attaining the maximum wins, and
+    within it the earliest record pair in enumeration order.
+    """
+    return max((upsilon(index, m) for m in range(index.n)),
+               key=lambda res: res[0])
 
 
 def scan_opposites(entries):

@@ -9,12 +9,12 @@ import time
 
 import pytest
 
-from helpers import (acceptance_corpus_graphs, anti_bases, is_convex, is_gated,
-                     ortho_pairs, orthogonal)
+from helpers import (acceptance_corpus_graphs, anti_bases, class_edges,
+                     diameter_via_upsilon, is_convex, is_gated, ortho_pairs,
+                     orthogonal)
 
 from medianecc import bfs, run_pipeline, sweep2, sweep4
 from medianecc.generators import fixture, gen_grid, gen_hypercube
-from medianecc.opposites import diameter_via_upsilon
 from medianecc.oracle import (brute_eccentricities, distance_matrix,
                               halfspace_sides, ladder_set_oracle,
                               milestones_oracle)
@@ -126,12 +126,13 @@ def test_criterion_5_structural_suites(corpus):
 
 def _check_halfspaces(g, theta, dist):
     count = 0
+    edges_of = class_edges(theta)
     for c in range(theta.q):
         side = halfspace_sides(g, theta, c)
         near = [v for v in range(g.n) if not side[v]]
         far = [v for v in range(g.n) if side[v]]
         boundary_near, boundary_far = [], []
-        for eid in theta.class_edges[c]:
+        for eid in edges_of[c]:
             u, v = g.edges[eid]
             if side[u]:
                 u, v = v, u

@@ -28,8 +28,7 @@ FUZZ_GRAPHS = 2400
 def theta_key(theta):
     """Every field, with each incident map's insertion order."""
     return (theta.v0, theta.dist0, theta.q, theta.edge_class,
-            theta.class_edges, [list(d.items()) for d in theta.incident],
-            theta.in_classes)
+            [list(d.items()) for d in theta.incident], theta.in_classes)
 
 
 def outcome(fn, *args):

@@ -3,17 +3,14 @@ from __future__ import annotations
 import random
 import time
 
-import pytest
-
 from medianecc import (build_graph, compute_phi, compute_opposites,
-                       compute_theta, diameter_via_upsilon, enumerate_cubes,
-                       run_pipeline, upsilon)
+                       compute_theta, enumerate_cubes, run_pipeline)
 from medianecc.generators import (cartesian_product, fixture, gen_grid,
                                   gen_hypercube, gen_tree)
 from medianecc.opposites import _memo_opposites, opposite_records
 from medianecc.oracle import brute_eccentricities
 
-from helpers import scan_opposites
+from helpers import diameter_via_upsilon, scan_opposites, upsilon
 
 
 def _prepared(g, v0=0):
@@ -225,11 +222,3 @@ def test_diameter_matches_oracle(small_corpus):
         from medianecc import bfs
         assert bfs(g, a)[b] == value, name
 
-
-def test_upsilon_requires_opposites():
-    g = gen_grid(2, 2)
-    theta = compute_theta(g)
-    index = enumerate_cubes(g, theta)
-    compute_phi(index, theta)
-    with pytest.raises(RuntimeError, match="compute_opposites"):
-        upsilon(index, 0)

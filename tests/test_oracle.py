@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from helpers import is_convex, is_gated
+from helpers import class_edges, is_convex, is_gated
 
 from medianecc import bfs, build_graph, compute_theta
 from medianecc.generators import fixture, gen_grid, gen_hypercube, gen_tree
@@ -135,9 +135,9 @@ def test_halfspaces_and_boundaries_convex_gated():
             near = [v for v in range(g.n) if not side[v]]
             far = [v for v in range(g.n) if side[v]]
             b_near = [g.edges[e][0] if not side[g.edges[e][0]]
-                      else g.edges[e][1] for e in theta.class_edges[c]]
+                      else g.edges[e][1] for e in class_edges(theta)[c]]
             b_far = [g.edges[e][1] if side[g.edges[e][1]]
-                     else g.edges[e][0] for e in theta.class_edges[c]]
+                     else g.edges[e][0] for e in class_edges(theta)[c]]
             for subset in (near, far, b_near, b_far):
                 assert is_convex(g, subset, dist=d), (name, c)
                 assert is_gated(g, subset, dist=d), (name, c)

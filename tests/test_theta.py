@@ -2,11 +2,12 @@ from __future__ import annotations
 
 import pytest
 
-from helpers import (djokovic_classes, is_pof, ortho_pairs, orthogonal,
-                     other_endpoint, theta_partition)
+from helpers import (class_edges, djokovic_classes, is_pof, ortho_pairs,
+                     orthogonal, other_endpoint, theta_partition)
 
 from medianecc import (NonMedianGraphError, build_graph, compute_theta,
                        enumerate_cubes)
+from medianecc import flat
 from medianecc.generators import fixture, gen_tree
 from medianecc.oracle import halfspace_sides
 
@@ -15,8 +16,8 @@ def test_square_has_two_classes_of_opposite_edges():
     g = build_graph(4, [(0, 1), (1, 3), (2, 3), (0, 2)])
     theta = compute_theta(g, 0)
     assert theta.q == 2
-    assert sorted(len(e) for e in theta.class_edges) == [2, 2]
-    for edges in theta.class_edges:
+    assert sorted(len(e) for e in class_edges(theta)) == [2, 2]
+    for edges in class_edges(theta):
         (u1, v1), (u2, v2) = (g.edges[e] for e in edges)
         assert {u1, v1}.isdisjoint({u2, v2})
 
@@ -26,7 +27,7 @@ def test_tree_classes_are_singleton_edges():
         g = gen_tree(40, seed)
         theta = compute_theta(g)
         assert theta.q == g.n - 1
-        assert all(len(e) == 1 for e in theta.class_edges)
+        assert all(len(e) == 1 for e in class_edges(theta))
         assert 2 * g.n - g.m - theta.q == 2
 
 
@@ -49,7 +50,7 @@ def test_fig3_classes_match_colored_edges():
         e4: {(3, 4), (6, 7)},
     }
     for c, expected in groups.items():
-        got = {g.edges[eid] for eid in theta.class_edges[c]}
+        got = {g.edges[eid] for eid in class_edges(theta)[c]}
         assert got == expected
 
 
@@ -79,7 +80,7 @@ def test_halfspaces_of_square():
         side = halfspace_sides(g, theta, c)
         assert not side[0]  # basepoint stays on the near side
         assert side.count(True) == 2
-        for eid in theta.class_edges[c]:
+        for eid in class_edges(theta)[c]:
             u, v = g.edges[eid]
             assert side[u] != side[v]
 
@@ -100,14 +101,14 @@ def test_halfspaces_of_augmented_ladder():
                         (2, 5), (1, 6), (5, 7)])
     theta = compute_theta(g, 0)
     c = theta.edge_class[g.neighbors[0][3]]
-    assert sorted(g.edges[e] for e in theta.class_edges[c]) == \
+    assert sorted(g.edges[e] for e in class_edges(theta)[c]) == \
         [(0, 3), (1, 4), (2, 5)]
     side = halfspace_sides(g, theta, c)
     near = {v for v in range(g.n) if not side[v]}
     far = {v for v in range(g.n) if side[v]}
     assert near == {0, 1, 2, 6} and far == {3, 4, 5, 7}
-    boundary_near = {g.edges[e][0] for e in theta.class_edges[c]}
-    boundary_far = {g.edges[e][1] for e in theta.class_edges[c]}
+    boundary_near = {g.edges[e][0] for e in class_edges(theta)[c]}
+    boundary_far = {g.edges[e][1] for e in class_edges(theta)[c]}
     assert boundary_near == {0, 1, 2} and boundary_far == {3, 4, 5}
 
 
@@ -124,18 +125,19 @@ def test_matching_cut_and_boundary_isomorphism(small_corpus):
         if g.n > 80 or g.m == 0:
             continue
         theta = compute_theta(g)
+        edges_of = class_edges(theta)
         for c in range(theta.q):
-            class_edges = [g.edges[e] for e in theta.class_edges[c]]
-            endpoints = [v for e in class_edges for v in e]
+            cut = [g.edges[e] for e in edges_of[c]]
+            endpoints = [v for e in cut for v in e]
             assert len(endpoints) == len(set(endpoints)), (name, c)
 
-            removed = set(theta.class_edges[c])
+            removed = set(edges_of[c])
             comp = _components_without(g, removed)
             assert comp == 2, (name, c)
 
             side = halfspace_sides(g, theta, c)
             near_of = {}
-            for u, v in class_edges:
+            for u, v in cut:
                 if side[u]:
                     u, v = v, u
                 near_of[u] = v
@@ -207,6 +209,25 @@ def test_k23_raises():
     g = build_graph(5, [(0, 1), (0, 2), (0, 3), (4, 1), (4, 2), (4, 3)])
     with pytest.raises(NonMedianGraphError):
         compute_theta(g)
+
+
+def test_two_common_lower_neighbors_refused_from_every_basepoint():
+    # a square 1-3-2-4 with a vertex below (0) and one above (5): from 0
+    # or 5 the far pair has two common lower neighbours and the scalar path
+    # names the induced K_2,3; from any other basepoint no pair does, and
+    # the count identity refuses the graph anyway
+    g = build_graph(6, [(0, 1), (0, 2), (1, 3), (2, 3), (1, 4), (2, 4),
+                        (3, 5), (4, 5)])
+    for v0 in (0, 5):
+        with pytest.raises(NonMedianGraphError, match=r"\(induced K_2,3\)$"):
+            compute_theta(g, v0)
+    for v0 in (1, 2, 3, 4):
+        with pytest.raises(NonMedianGraphError,
+                           match=r"^count identity violated: "
+                                 r"2n - m - q = 3 > 2$"):
+            compute_theta(g, v0)
+    for v0 in range(g.n):
+        assert flat.compute_theta(g, v0) is None
 
 
 def test_six_cycle_raises():
