@@ -4,13 +4,13 @@ The label pipeline (theta classes -> hypercube records -> upward labels ->
 opposites -> bent labels) runs in time linear in the vertex count for any
 fixed dimension, and a brute-force oracle plus generators back it with
 exhaustive cross-checks. The generators and named fixtures live in
-``medianecc.generators``.
+``medianecc.generators``, the 2-sweep and 4-sweep diameter heuristics in
+``medianecc.heuristics``.
 """
 from .cubes import CubeIndex, enumerate_cubes
 from .eccentricity import EccReport, compute_psi, eccentricities
 from .graph import (Graph, GraphFormatError, GraphValidationError, bfs,
                     build_graph, load_graph, save_graph)
-from .heuristics import SweepResult, sweep2, sweep4
 from .labels import compute_phi
 from .opposites import compute_opposites
 from .pipeline import PipelineResult, run_pipeline
@@ -21,8 +21,7 @@ __version__ = "0.1.0"
 __all__ = [
     "CubeIndex", "EccReport", "Graph", "GraphFormatError",
     "GraphValidationError", "NonMedianGraphError", "PipelineResult",
-    "SweepResult", "ThetaDecomposition", "bfs", "build_graph",
-    "compute_opposites", "compute_phi", "compute_psi", "compute_theta",
-    "eccentricities", "enumerate_cubes", "load_graph", "run_pipeline",
-    "save_graph", "sweep2", "sweep4",
+    "ThetaDecomposition", "bfs", "build_graph", "compute_opposites",
+    "compute_phi", "compute_psi", "compute_theta", "eccentricities",
+    "enumerate_cubes", "load_graph", "run_pipeline", "save_graph",
 ]

@@ -156,18 +156,24 @@ def _cmd_sweep(args) -> int:
 
 
 def _parse_sizes(spec: str) -> list:
-    """Sizes from a comma list or a doubling range lo..hi; all positive."""
-    if ".." in spec:
-        lo_s, hi_s = spec.split("..", 1)
-        lo, hi = int(float(lo_s)), int(float(hi_s))
-        sizes = []
-        while lo <= hi:
-            sizes.append(lo)
-            if lo < 1:  # never grows by doubling; rejected below
-                break
-            lo *= 2
-    else:
-        sizes = [int(float(tok)) for tok in spec.split(",") if tok]
+    """Sizes from a comma list or a doubling range lo..hi; at least one,
+    all finite and positive."""
+    try:
+        if ".." in spec:
+            lo, hi = (int(float(tok)) for tok in spec.split("..", 1))
+            sizes = []
+            while lo <= hi:
+                sizes.append(lo)
+                if lo < 1:  # never grows by doubling; rejected below
+                    break
+                lo *= 2
+        else:
+            sizes = [int(float(tok)) for tok in spec.split(",") if tok]
+    except OverflowError:  # inf, or past the float range such as 1e400
+        raise argparse.ArgumentTypeError(
+            f"sizes must be finite, got {spec!r}") from None
+    if not sizes:
+        raise argparse.ArgumentTypeError(f"no sizes in {spec!r}")
     if any(size < 1 for size in sizes):
         raise argparse.ArgumentTypeError(
             f"sizes must be positive, got {spec!r}")

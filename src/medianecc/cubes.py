@@ -24,6 +24,9 @@ from typing import Optional
 from .graph import Graph
 from .theta import NonMedianGraphError, ThetaDecomposition
 
+# refuse vertices with more ingoing classes: each would emit 2^k records
+MAX_DIM = 20
+
 
 class CubeIndex:
     """All hypercube records.
@@ -64,64 +67,57 @@ class CubeIndex:
         return counts
 
 
-def enumerate_cubes(g: Graph, theta: ThetaDecomposition,
-                    max_dim: int = 20) -> CubeIndex:
+def enumerate_cubes(g: Graph, theta: ThetaDecomposition) -> CubeIndex:
     """Emit one record per (anti-basis vertex, subset of ingoing classes).
 
     A record's basis is its anti-basis walked down one incident edge per
     class, in ascending class order; the walk reuses the record without
     the last class, so it takes one step. Each step must land one level
     closer to v0; a missing edge or a wrong level marks non-median input.
+    Of g only the vertex count is read.
     """
     n = g.n
     dist0 = theta.dist0
     incident = theta.incident
-    edges = g.edges
-
-    levels: list = [[] for _ in range(max(dist0) + 1)]
-    for v in range(n):
-        levels[dist0[v]].append(v)
 
     index = CubeIndex(n)
     basis, pofs = index.basis, index.pof
     outgoing, ingoing = index.outgoing, index.ingoing
     dim = 0
 
-    for level in levels:
-        for v in level:
-            inc = theta.in_classes[v]
-            k = len(inc)
-            if k > max_dim:
-                raise NonMedianGraphError(
-                    f"vertex {v} has {k} ingoing classes, above the "
-                    f"supported dimension {max_dim}")
-            if k > dim:
-                dim = k
-            start = len(pofs)
-            bs, ps = [v], [()]
-            outgoing[v].append(start)
-            for h, c in enumerate(inc):
-                # masks 2^h .. 2^(h+1) - 1 extend masks 0 .. 2^h - 1 by c
-                for low in range(1 << h):
-                    w = bs[low]
-                    pof = ps[low] + (c,)
-                    eid = incident[w].get(c)
-                    if eid is None:
-                        raise NonMedianGraphError(
-                            f"walk from vertex {v} with classes {pof} "
-                            f"stalled: no edge of class {c} at vertex {w}")
-                    a, b = edges[eid]
-                    x = b if a == w else a
-                    if dist0[x] != dist0[w] - 1:
-                        raise NonMedianGraphError(
-                            f"walk from vertex {v} with classes {pof} landed "
-                            f"at vertex {x}, not |pof| levels down")
-                    outgoing[x].append(start + len(bs))
-                    bs.append(x)
-                    ps.append(pof)
-            basis += bs
-            pofs += ps
-            ingoing[v] = range(start, len(pofs))
+    # by level, ascending ids within a level (the sort is stable)
+    for v in sorted(range(n), key=dist0.__getitem__):
+        inc = theta.in_classes[v]
+        k = len(inc)
+        if k > MAX_DIM:
+            raise NonMedianGraphError(
+                f"vertex {v} has {k} ingoing classes, above the "
+                f"supported dimension {MAX_DIM}")
+        if k > dim:
+            dim = k
+        start = len(pofs)
+        bs, ps = [v], [()]
+        outgoing[v].append(start)
+        for h, c in enumerate(inc):
+            # masks 2^h .. 2^(h+1) - 1 extend masks 0 .. 2^h - 1 by c
+            for low in range(1 << h):
+                w = bs[low]
+                pof = ps[low] + (c,)
+                x = incident[w].get(c)
+                if x is None:
+                    raise NonMedianGraphError(
+                        f"walk from vertex {v} with classes {pof} "
+                        f"stalled: no edge of class {c} at vertex {w}")
+                if dist0[x] != dist0[w] - 1:
+                    raise NonMedianGraphError(
+                        f"walk from vertex {v} with classes {pof} landed "
+                        f"at vertex {x}, not |pof| levels down")
+                outgoing[x].append(start + len(bs))
+                bs.append(x)
+                ps.append(pof)
+        basis += bs
+        pofs += ps
+        ingoing[v] = range(start, len(pofs))
 
     R = len(pofs)
     index.phi = [0] * R

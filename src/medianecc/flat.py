@@ -121,21 +121,20 @@ def compute_theta(g: Graph, v0: int) -> Optional[ThetaDecomposition]:
                        count=2 * m)
     # ends[by_vertex] lists each vertex's edges in edge order (the keys
     # are distinct, so the fast sort keeps that order); the other end of
-    # entry i is ends[i ^ 1] and its edge id is i >> 1
+    # entry i is ends[i ^ 1]
     by_vertex = np.argsort(ends * (2 * m) + np.arange(2 * m))
     degree = np.bincount(ends, minlength=n)
     # the lists below take their ints from one object per id, as the
     # scalar path's lists do, not from a fresh object per entry
-    ids = np.array(range(max(n, m)), dtype=object)
-    dist0 = _levels(v0, ids[ends[by_vertex ^ 1]].tolist(),
-                    [0, *np.cumsum(degree).tolist()])
+    ids = np.array(range(n), dtype=object)
+    adj = ids[ends[by_vertex ^ 1]].tolist()
+    dist0 = _levels(v0, adj, [0, *np.cumsum(degree).tolist()])
     found = _classes(n, ends, np.array(dist0))
     if found is None:
         return None
     cls, q, head = found
 
-    around = zip(ids[np.repeat(cls, 2)[by_vertex]].tolist(),
-                 ids[by_vertex >> 1].tolist())
+    around = zip(ids[np.repeat(cls, 2)[by_vertex]].tolist(), adj)
     ins = iter(ids[np.sort(head * q + cls) % max(q, 1)].tolist())
     return ThetaDecomposition(
         v0=v0,

@@ -207,13 +207,11 @@ def milestones_oracle(g: Graph, theta: ThetaDecomposition, u: int,
                         if dv[x] == dv[cur] - 1)
         nxt = cur
         for c in ladder:
-            eid = incident[nxt].get(c)
-            if eid is None:
+            if c not in incident[nxt]:
                 raise NonMedianGraphError(
                     f"jump from vertex {cur} stalled: no edge of class {c} "
                     f"at vertex {nxt}")
-            x, y = g.edges[eid]
-            nxt = y if x == nxt else x
+            nxt = incident[nxt][c]
         if dv[nxt] != dv[cur] - len(ladder):
             raise NonMedianGraphError(
                 f"jump from vertex {cur} did not move {len(ladder)} steps "

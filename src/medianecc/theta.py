@@ -42,8 +42,8 @@ class ThetaDecomposition:
 
     ``edge_class[e]`` is the class of edge e; classes are numbered in the
     order of their smallest edge ids.
-    ``incident[v]`` maps class id -> the unique incident edge id (classes
-    are matchings, so at most one edge per class touches a vertex).
+    ``incident[v]`` maps class id -> the neighbour of v across its edge of
+    that class (classes are matchings, so v has at most one such edge).
     ``in_classes[v]`` lists, ascending, the classes of the edges that point
     into v: an edge (u, v) points u -> v when dist0[u] < dist0[v].
     """
@@ -151,12 +151,12 @@ def _theta_scalar(g: Graph, v0: int) -> ThetaDecomposition:
     ingoing: list = [[] for _ in range(g.n)]
     for eid, (u, v) in enumerate(edges):
         c = edge_class[eid]
-        for x in (u, v):
+        for x, y in ((u, v), (v, u)):
             if c in incident[x]:
                 raise NonMedianGraphError(
                     f"class {c} is not a matching: two of its edges share "
                     f"vertex {x}")
-            incident[x][c] = eid
+            incident[x][c] = y
         ingoing[v if dist0[u] < dist0[v] else u].append(c)
     in_classes = tuple(tuple(sorted(cs)) for cs in ingoing)
 

@@ -25,12 +25,6 @@ def quick_dimension(g):
     return best
 
 
-def other_endpoint(g, eid, v):
-    """The end of edge ``eid`` that is not v."""
-    a, b = g.edges[eid]
-    return b if a == v else a
-
-
 def djokovic_classes(g):
     """Edge partition by the distance-side test, independent of squares.
 

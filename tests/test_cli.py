@@ -162,6 +162,18 @@ def test_bench_non_positive_sizes_are_usage_errors(sizes, capsys):
     assert "sizes must be positive" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("sizes, message", [
+    ("inf", "sizes must be finite"), ("1e400", "sizes must be finite"),
+    ("1..inf", "sizes must be finite"), ("10..5", "no sizes in '10..5'")])
+def test_bench_infinite_or_empty_sizes_are_usage_errors(sizes, message,
+                                                        capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", f"--sizes={sizes}"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage:") and message in err
+
+
 def test_missing_file_is_input_error(capsys):
     assert main(["ecc", "/nonexistent/file.txt"]) == 1
     assert "error:" in capsys.readouterr().err

@@ -1,14 +1,15 @@
 from __future__ import annotations
 
 from dataclasses import replace
+from types import SimpleNamespace
 
 import pytest
 
-from helpers import (anti_bases, is_pof, ortho_pairs, other_endpoint,
-                     record_id)
+from helpers import anti_bases, is_pof, ortho_pairs, record_id
 
 from medianecc import (NonMedianGraphError, bfs, build_graph, compute_theta,
                        enumerate_cubes, load_graph)
+from medianecc import cubes
 from medianecc.generators import fixture, gen_grid, gen_hypercube
 
 
@@ -120,9 +121,9 @@ def _assert_full_cube(g, theta, basis, pof, name):
     corners = {(): basis}
     for c in pof:
         for sub, vertex in list(corners.items()):
-            eid = theta.incident[vertex].get(c)
-            assert eid is not None, (name, basis, pof)
-            corners[tuple(sorted(sub + (c,)))] = other_endpoint(g, eid, vertex)
+            corner = theta.incident[vertex].get(c)
+            assert corner is not None, (name, basis, pof)
+            corners[tuple(sorted(sub + (c,)))] = corner
     assert len(set(corners.values())) == 1 << len(pof), (name, basis, pof)
     for sub, vertex in corners.items():
         for c in pof:
@@ -204,8 +205,20 @@ def test_walk_refusal_on_an_upward_landing():
         enumerate_cubes(g, broken)
 
 
-def test_dimension_guard():
+def test_dimension_guard(monkeypatch):
     g = gen_hypercube(4)
     theta = compute_theta(g)
-    with pytest.raises(NonMedianGraphError, match="dimension"):
-        enumerate_cubes(g, theta, max_dim=3)
+    monkeypatch.setattr(cubes, "MAX_DIM", 3)
+    with pytest.raises(NonMedianGraphError,
+                       match="4 ingoing classes, above the supported "
+                             "dimension 3"):
+        enumerate_cubes(g, theta)
+
+
+def test_walk_reads_only_the_vertex_count(small_corpus):
+    for name, g in small_corpus:
+        theta, index = _index_for(g)
+        bare = enumerate_cubes(SimpleNamespace(n=g.n), theta)
+        assert bare.basis == index.basis, name
+        assert bare.pof == index.pof, name
+        assert bare.ingoing == index.ingoing, name

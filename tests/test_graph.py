@@ -4,8 +4,6 @@ import random
 
 import pytest
 
-from helpers import other_endpoint
-
 from medianecc import (Graph, GraphFormatError, GraphValidationError, bfs,
                        build_graph, flat, load_graph, save_graph)
 from medianecc import graph as graph_mod
@@ -181,7 +179,6 @@ def test_edge_helpers():
     g = fixture("gstar")
     eid = g.neighbors[3][4]
     assert g.edges[eid] in {(3, 4), (4, 3)}
-    assert other_endpoint(g, eid, 3) == 4
     with pytest.raises(KeyError):
         g.neighbors[0][4]
 

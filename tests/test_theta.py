@@ -3,7 +3,7 @@ from __future__ import annotations
 import pytest
 
 from helpers import (class_edges, djokovic_classes, is_pof, ortho_pairs,
-                     orthogonal, other_endpoint, theta_partition)
+                     orthogonal, theta_partition)
 
 from medianecc import (NonMedianGraphError, build_graph, compute_theta,
                        enumerate_cubes)
@@ -189,14 +189,14 @@ def test_incident_maps_are_complete(small_corpus):
         theta = compute_theta(g)
         for eid, (u, v) in enumerate(g.edges):
             c = theta.edge_class[eid]
-            assert theta.incident[u][c] == eid
-            assert theta.incident[v][c] == eid
+            assert theta.incident[u][c] == v
+            assert theta.incident[v][c] == u
         dist0 = theta.dist0
         for v in range(g.n):
             # exactly the incident classes whose edge comes from closer to v0
             assert theta.in_classes[v] == tuple(sorted(
-                c for c, eid in theta.incident[v].items()
-                if dist0[other_endpoint(g, eid, v)] < dist0[v]))
+                c for c, x in theta.incident[v].items()
+                if dist0[x] < dist0[v]))
 
 
 def test_non_bipartite_input_raises():
