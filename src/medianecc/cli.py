@@ -294,8 +294,8 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (GraphFormatError, GraphValidationError, NonMedianGraphError,
-            ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+            ValueError, OSError, MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
 
 

@@ -11,11 +11,14 @@ Layout: records are parallel arrays, with label slots (phi/mu/psi/...)
 filled by later passes. The records of anti-basis v are the contiguous ids
 ``ingoing[v]``, one per mask M over v's ingoing classes ``in_classes[v]``,
 and record ``ingoing[v][M]`` has the classes of M's bits as its pof.
-Anti-bases come in nondecreasing distance from v0, the order those passes
-rely on. Recurrence: with h the top bit of M, the basis of record M is one
-edge of class ``in_classes[v][h]`` away from the basis of record
-``M ^ 1<<h``, and its pof is that record's pof plus that class, so each
-record costs one edge step and one level check.
+Recurrence: with h the top bit of M, the basis of record M is one edge of
+class ``in_classes[v][h]`` away from the basis of record ``M ^ 1<<h``, and
+its pof is that record's pof plus that class, so each record costs one edge
+step and one level check. The label sweeps rely on this layout: anti-bases
+come in ``order`` (by distance from v0, ascending ids within a level), and
+``outgoing[b]`` is b's empty pof, then one 1-cube record per upward edge,
+then larger pofs by size. Every cube with basis b is spanned by b's upward
+edges, so b's local class count k is its out-degree.
 """
 from __future__ import annotations
 
@@ -29,7 +32,7 @@ MAX_DIM = 20
 
 
 class CubeIndex:
-    """All hypercube records.
+    """All hypercube records, by anti-basis in ``order``.
 
     ``outgoing[v]`` lists the record ids whose basis is v, ascending;
     ``ingoing[v]`` is the id range of the records whose anti-basis is v,
@@ -37,12 +40,13 @@ class CubeIndex:
     as each record's basis (phi 0, reached at distance 0).
     """
 
-    __slots__ = ("n", "dimension", "basis", "pof", "phi", "mu", "psi",
+    __slots__ = ("n", "dimension", "order", "basis", "pof", "phi", "mu", "psi",
                  "psi_witness", "outgoing", "ingoing", "opp")
 
     def __init__(self, n: int):
         self.n = n
         self.dimension = 0
+        self.order: list = []
         self.basis: list = []
         self.pof: list = []
         self.phi: list = []
@@ -86,7 +90,8 @@ def enumerate_cubes(g: Graph, theta: ThetaDecomposition) -> CubeIndex:
     dim = 0
 
     # by level, ascending ids within a level (the sort is stable)
-    for v in sorted(range(n), key=dist0.__getitem__):
+    index.order = sorted(range(n), key=dist0.__getitem__)
+    for v in index.order:
         inc = theta.in_classes[v]
         k = len(inc)
         if k > MAX_DIM:

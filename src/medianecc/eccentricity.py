@@ -10,14 +10,14 @@ families on the records around u.
 The sweep visits vertices from the nearest level to the farthest and pairs
 each outgoing record with the ingoing records of its basis that its pof
 does not block; ties go to the opposite's phi, then to the smallest
-ingoing record id. A heavy vertex (``labels.local_masks``, the phi cut)
-answers them by one subset-max transform keyed so that the same ties win.
+ingoing record id. A heavy vertex (the phi sweep's test) answers them by
+one subset-max transform keyed so that the same ties win.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import itemgetter
 
+from . import labels
 from .cubes import CubeIndex
 from .labels import local_masks
 from .opposites import subset_max
@@ -56,21 +56,23 @@ def compute_psi(index: CubeIndex, theta: ThetaDecomposition) -> None:
     """
     if index.opp is None:
         raise RuntimeError("compute_opposites must run before compute_psi")
-    incident = theta.incident
+    incident, in_classes = theta.incident, theta.in_classes
     pofs, phi, mu = index.pof, index.phi, index.mu
     psi, psiw = index.psi, index.psi_witness
     basis, ingoing, outgoing = index.basis, index.ingoing, index.outgoing
     opp = index.opp
     R = len(pofs)
 
-    # by each vertex's empty-pof record, i.e. by level, nearest first
-    for outs in sorted(outgoing, key=itemgetter(0)):
+    for b in index.order:  # by level, nearest first
+        outs = outgoing[b]
         if len(outs) == 1:
             continue
-        ins = ingoing[basis[outs[0]]]
-        masks = None
-        if (len(outs) - 1) * (len(ins) - 1) > 2 * len(outs) + len(ins):
-            masks = local_masks(index, incident, outs, ins)  # else light
+        ins = ingoing[b]
+        k = len(incident[b]) - len(in_classes[b])
+        masks = None  # light
+        if (len(outs) - 1) * (len(ins) - 1) > \
+                labels._transform_cost(k, len(ins)):
+            masks = local_masks(index, incident, outs, ins)
         if masks is None:
             lows = ins[1:]  # ascending t: the first wins ties
             for r in outs[1:]:
@@ -89,7 +91,7 @@ def compute_psi(index: CubeIndex, theta: ThetaDecomposition) -> None:
                 psi[r] = len(X) + reach
                 psiw[r] = wit
             continue
-        k, out_masks, in_masks = masks
+        out_masks, in_masks = masks
         best = [-1] * (1 << k)
         for t, m in zip(ins[1:], in_masks):
             best[m] = max(best[m], psi[t] * R + (R - 1 - t))

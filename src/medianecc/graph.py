@@ -21,24 +21,22 @@ from typing import Optional, Sequence
 FLAT_MIN_EDGES = 16_384
 
 
-class GraphFormatError(ValueError):
+class _LineError(ValueError):
+    """A message prefixed with the input line it concerns, if any."""
+
+    def __init__(self, message: str, line: Optional[int] = None):
+        if line is not None:
+            message = f"line {line}: {message}"
+        super().__init__(message)
+        self.line = line
+
+
+class GraphFormatError(_LineError):
     """An edge-list document could not be parsed."""
 
-    def __init__(self, message: str, line: Optional[int] = None):
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
-        self.line = line
 
-
-class GraphValidationError(ValueError):
+class GraphValidationError(_LineError):
     """A parsed edge list violates the graph invariants."""
-
-    def __init__(self, message: str, line: Optional[int] = None):
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
-        self.line = line
 
 
 @dataclass(frozen=True, eq=True)

@@ -9,15 +9,14 @@ at u, i.e. the possible first steps of shortest (u, v)-paths.
 The sweep visits vertices from the farthest level to the nearest and
 labels each vertex b's ingoing records t from b's outgoing records: the
 best phi among outgoing pofs L not blocked at t (no class of L incident to
-t's basis), ties to the larger record id. At a heavy vertex
-(``local_masks``: more pairs than the transform's (k + 1) * 2^k + k * #in
-steps over k local classes) one subset-max transform over b's local class
-bits replaces that pair loop: every pof inside the complement of t's
-blocked mask is unblocked, so one table read answers t.
+t's basis), ties to the larger record id. b's local classes are its k
+upward edges (see ``medianecc.cubes``). At a heavy vertex (more pairs of
+nonempty records than ``_transform_cost(k, #in)``) with dense pofs
+(``local_masks``), one subset-max transform over b's local class bits
+replaces that pair loop: every pof inside the complement of t's blocked
+mask is unblocked, so one table read answers t.
 """
 from __future__ import annotations
-
-from operator import itemgetter
 
 from .cubes import CubeIndex
 from .opposites import pof_masks, subset_max
@@ -35,20 +34,13 @@ def _transform_cost(k: int, n_in: int) -> int:
 
 
 def local_masks(index: CubeIndex, incident: list, outs: list, ins: list):
-    """``(k, out_masks, in_masks)`` at a heavy vertex with outgoing and
-    ingoing records ``outs`` and ``ins`` (each led by its empty pof), else
-    None: each outgoing pof's mask over the k local classes, and for each
-    nonempty ingoing record the mask of those incident to its basis.
-    Heavy: dense (``pof_masks``) with more nonempty-record pairs than
-    ``_transform_cost``, first checked at the least k for len(outs) pofs,
-    so a light vertex costs O(1) here. That cost is at least
-    2 * len(outs) + len(ins) (k >= 1 and 2^k >= len(outs)), so the sweeps
-    call this only for vertices with more pairs than that."""
-    pairs = (len(outs) - 1) * (len(ins) - 1)
-    if pairs <= _transform_cost((len(outs) - 1).bit_length(), len(ins)):
-        return None
+    """``(out_masks, in_masks)`` at a dense vertex (``pof_masks``) with
+    outgoing and ingoing records ``outs`` and ``ins`` (each led by its
+    empty pof), else None: each outgoing pof's mask over the local
+    classes, and for each nonempty ingoing record the mask of those
+    incident to its basis."""
     dense = pof_masks([index.pof[r] for r in outs])
-    if dense is None or pairs <= _transform_cost(len(dense[0]), len(ins)):
+    if dense is None:
         return None
     bit, mask = dense
     basis, bits = index.basis, list(bit.items())
@@ -60,7 +52,7 @@ def local_masks(index: CubeIndex, incident: list, outs: list, ins: list):
             if c in inc:
                 m |= b
         in_masks.append(m)
-    return len(bit), list(mask.values()), in_masks
+    return list(mask.values()), in_masks
 
 
 def compute_phi(index: CubeIndex, theta: ThetaDecomposition) -> None:
@@ -68,20 +60,20 @@ def compute_phi(index: CubeIndex, theta: ThetaDecomposition) -> None:
     outgoing pof (phi 0, witness b) lets an ingoing record with no
     unblocked pof reach b itself, at distance |X|; a heavy vertex keys its
     outgoing record r as phi(r) * R + r over R records."""
-    incident = theta.incident
+    incident, in_classes = theta.incident, theta.in_classes
     pofs, phi, mu = index.pof, index.phi, index.mu
     basis, ingoing, outgoing = index.basis, index.ingoing, index.outgoing
     R = len(pofs)
 
-    # by each vertex's empty-pof record, i.e. by level, farthest first
-    for ins in sorted(ingoing, key=itemgetter(0), reverse=True):
+    for b in reversed(index.order):  # by level, farthest first
+        ins = ingoing[b]
         if len(ins) == 1:
             continue
-        b = basis[ins[0]]
         outs = outgoing[b]
-        masks = None
-        if (len(outs) - 1) * (len(ins) - 1) > 2 * len(outs) + len(ins):
-            masks = local_masks(index, incident, outs, ins)  # else light
+        k = len(incident[b]) - len(in_classes[b])
+        masks = None  # light
+        if (len(outs) - 1) * (len(ins) - 1) > _transform_cost(k, len(ins)):
+            masks = local_masks(index, incident, outs, ins)
         if masks is None:
             tops = outs[:0:-1]  # descending r: the larger r wins ties
             for t in ins[1:]:
@@ -98,7 +90,7 @@ def compute_phi(index: CubeIndex, theta: ThetaDecomposition) -> None:
                 phi[t] = len(pofs[t]) + reach
                 mu[t] = wit
             continue
-        k, out_masks, in_masks = masks
+        out_masks, in_masks = masks
         best = [-1] * (1 << k)
         for r, m in zip(outs, out_masks):
             best[m] = phi[r] * R + r

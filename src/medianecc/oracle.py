@@ -66,6 +66,11 @@ def brute_eccentricities(g: Graph, budget: int = 5000) -> EccReport:
                      center_vertex=center)
 
 
+# is_median checks all triples up to this many vertices, on an n^3 float32
+# betweenness tensor (8 MiB at 128)
+EXHAUSTIVE_LIMIT = 128
+
+
 @dataclass(frozen=True)
 class MedianCheck:
     """Verdict of the unique-median test over vertex triples."""
@@ -75,11 +80,11 @@ class MedianCheck:
     mode: str  # "exhaustive" or "sampled"
 
 
-def is_median(g: Graph, exhaustive_limit: int = 128, samples: int = 100_000,
-              seed: int = 0, budget: int = 5000) -> MedianCheck:
+def is_median(g: Graph, samples: int = 100_000, seed: int = 0,
+              budget: int = 5000) -> MedianCheck:
     """Check that every vertex triple has exactly one median.
 
-    Exhaustive up to ``exhaustive_limit`` vertices (all triples), sampled
+    Exhaustive up to ``EXHAUSTIVE_LIMIT`` vertices (all triples), sampled
     above it with a seeded generator; a sampled pass can only ever report
     "no violation found".
     """
@@ -88,7 +93,7 @@ def is_median(g: Graph, exhaustive_limit: int = 128, samples: int = 100_000,
         return MedianCheck(True, None, "exhaustive")
     d = distance_matrix(g, budget)
 
-    if n <= exhaustive_limit:
+    if n <= EXHAUSTIVE_LIMIT:
         between = (d[:, None, :] + d[None, :, :] == d[:, :, None])
         bet = between.astype(np.float32)
         ids = np.arange(n)
@@ -133,11 +138,6 @@ def medians_of_triple(d: np.ndarray, x: int, y: int, z: int) -> list:
     c = ((d[x] + d[y] == d[x, y]) & (d[y] + d[z] == d[y, z])
          & (d[z] + d[x] == d[z, x]))
     return [int(w) for w in np.where(c)[0]]
-
-
-def interval_vertices(d: np.ndarray, u: int, v: int) -> list:
-    """Vertices on shortest (u, v)-paths."""
-    return [int(w) for w in np.where(d[u] + d[v] == d[u, v])[0]]
 
 
 def halfspace_sides(g: Graph, theta: ThetaDecomposition, cls: int) -> list:

@@ -106,6 +106,25 @@ def test_check_reports_odd_cycle_as_not_bipartite(tmp_path, capsys):
     assert "median false" in out
 
 
+@pytest.mark.parametrize("exc, line", [
+    # numpy reports a distance matrix that does not fit as a MemoryError
+    (MemoryError("Unable to allocate 11.9 GiB for an array with shape "
+                 "(40000, 40000) and data type float64"),
+     "error: Unable to allocate 11.9 GiB for an array with shape "
+     "(40000, 40000) and data type float64\n"),
+    # the interpreter raises it without a message
+    (MemoryError(), "error: MemoryError\n"),
+])
+def test_check_out_of_memory_is_an_error_line(gstar_file, capsys,
+                                              monkeypatch, exc, line):
+    def no_memory(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr("medianecc.oracle.dijkstra", no_memory)
+    assert main(["check", gstar_file]) == 1
+    assert capsys.readouterr().err == line
+
+
 def test_gen_roundtrip(tmp_path, capsys):
     out = tmp_path / "g.txt"
     assert main(["gen", "--kind", "fixture", "--name", "hstar",

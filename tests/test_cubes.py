@@ -222,3 +222,23 @@ def test_walk_reads_only_the_vertex_count(small_corpus):
         assert bare.basis == index.basis, name
         assert bare.pof == index.pof, name
         assert bare.ingoing == index.ingoing, name
+
+
+def test_layout_the_sweeps_read(small_corpus):
+    # the phi and psi sweeps take their level order and each vertex's
+    # local class count k from this layout instead of recomputing them
+    graphs = list(small_corpus)
+    graphs += [(f"cube{k}", gen_hypercube(k)) for k in range(1, 7)]
+    for name, g in graphs:
+        theta, index = _index_for(g)
+        assert index.order == sorted(range(g.n),
+                                     key=theta.dist0.__getitem__), name
+        assert list(dict.fromkeys(anti_bases(index))) == index.order, name
+        for b in range(g.n):
+            outs = index.outgoing[b]
+            assert outs[0] == index.ingoing[b][0], (name, b)
+            sizes = [len(index.pof[r]) for r in outs]
+            k = len(theta.incident[b]) - len(theta.in_classes[b])
+            assert sizes[1:k + 1] == [1] * k, (name, b)
+            assert sizes.count(1) == k, (name, b)
+            assert sizes == sorted(sizes), (name, b)

@@ -92,7 +92,7 @@ def test_long_expansion_run_within_budget():
     if g.n <= 128:
         assert is_median(g).is_median
     else:
-        assert is_median(g, exhaustive_limit=0, samples=50_000).is_median
+        assert is_median(g, samples=50_000).is_median
 
 
 def test_expansion_is_deterministic():

@@ -7,10 +7,10 @@ import pytest
 from helpers import class_edges, is_convex, is_gated
 
 from medianecc import bfs, build_graph, compute_theta
-from medianecc.generators import fixture, gen_grid, gen_hypercube, gen_tree
+from medianecc.generators import (_interval, fixture, gen_grid,
+                                  gen_hypercube, gen_tree)
 from medianecc.oracle import (brute_eccentricities, distance_matrix,
-                              halfspace_sides, interval_vertices, is_median,
-                              medians_of_triple)
+                              halfspace_sides, is_median, medians_of_triple)
 
 
 def test_distance_matrix_matches_bfs():
@@ -82,12 +82,13 @@ def test_fixtures_are_median():
         assert is_median(fixture(name)).is_median, name
 
 
-def test_sampled_mode_on_larger_graphs():
+def test_sampled_mode_on_larger_graphs(monkeypatch):
     g = gen_grid(15, 15)
-    verdict = is_median(g, exhaustive_limit=50, samples=20_000, seed=1)
+    verdict = is_median(g, samples=20_000, seed=1)
     assert verdict.is_median and verdict.mode == "sampled"
     c6 = build_graph(6, [(i, (i + 1) % 6) for i in range(6)])
-    bad = is_median(c6, exhaustive_limit=2, samples=20_000, seed=1)
+    monkeypatch.setattr("medianecc.oracle.EXHAUSTIVE_LIMIT", 2)
+    bad = is_median(c6, samples=20_000, seed=1)
     assert not bad.is_median and bad.mode == "sampled"
 
 
@@ -99,7 +100,7 @@ def test_intervals_are_convex_and_gated(small_corpus):
         d = distance_matrix(g)
         for _ in range(6):
             a, b = rng.randrange(g.n), rng.randrange(g.n)
-            hull = interval_vertices(d, a, b)
+            hull = _interval(g, a, b)
             assert is_convex(g, hull, dist=d), (name, a, b)
             assert is_gated(g, hull, dist=d), (name, a, b)
 
