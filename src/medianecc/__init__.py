@@ -2,10 +2,10 @@
 
 The label pipeline (theta classes -> hypercube records -> upward labels ->
 opposites -> bent labels) runs in time linear in the vertex count for any
-fixed dimension, and a brute-force oracle plus generators back it with
-exhaustive cross-checks. The generators and named fixtures live in
+fixed dimension, and refuses every input that is not a median graph with
+``NonMedianGraphError``. The generators and named fixtures live in
 ``medianecc.generators``, the 2-sweep and 4-sweep diameter heuristics in
-``medianecc.heuristics``.
+``medianecc.heuristics``, all-pairs distances in ``medianecc.oracle``.
 """
 from .cubes import CubeIndex, enumerate_cubes
 from .eccentricity import EccReport, compute_psi, eccentricities

@@ -1,6 +1,7 @@
 """Command-line front end.
 
-Subcommands: gen, check, theta, cubes, phi, diam, ecc, sweep, bench.
+Subcommands: gen, check, theta, cubes, phi, diam, ecc, sweep. The
+benchmark lives in ``perfbench/`` at the repository root.
 Exit codes: 0 success, 1 validation / input failure, 2 usage error.
 """
 from __future__ import annotations
@@ -16,7 +17,7 @@ from .graph import (Graph, GraphFormatError, GraphValidationError, bfs,
                     load_graph, save_graph)
 from .heuristics import sweep2, sweep4
 from .labels import compute_phi
-from .pipeline import STAGES, run_pipeline
+from .pipeline import run_pipeline
 from .theta import NonMedianGraphError, compute_theta
 
 
@@ -51,25 +52,21 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    from .oracle import is_median
-
     g = _read_graph(args.file)
     # connected: bipartite iff no edge joins two vertices of one BFS level
     dist = bfs(g, 0)
     bip = all(dist[u] != dist[v] for u, v in g.edges)
     print(f"bipartite {'true' if bip else 'false'}")
-    verdict = is_median(g, samples=args.samples, seed=args.seed,
-                        budget=args.budget)
-    print(f"median {'true' if verdict.is_median else 'false'}"
-          f" ({verdict.mode})")
-    if verdict.witness is not None:
-        x, y, z, count = verdict.witness
-        print(f"violating triple {x} {y} {z} with {count} medians")
+    # theta and the cube walk with its link check accept exactly the
+    # median graphs
     try:
         theta = compute_theta(g, args.v0)
         print(f"euler_check {2 * g.n - g.m - theta.q}")
+        enumerate_cubes(g, theta)
     except NonMedianGraphError as exc:
-        print(f"theta failed: {exc}")
+        print(f"median false\nrefused: {exc}")
+    else:
+        print("median true")
     return 0
 
 
@@ -155,58 +152,6 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
-def _parse_sizes(spec: str) -> list:
-    """Sizes from a comma list or a doubling range lo..hi; at least one,
-    all finite and positive."""
-    try:
-        if ".." in spec:
-            lo, hi = (int(float(tok)) for tok in spec.split("..", 1))
-            sizes = []
-            while lo <= hi:
-                sizes.append(lo)
-                if lo < 1:  # never grows by doubling; rejected below
-                    break
-                lo *= 2
-        else:
-            sizes = [int(float(tok)) for tok in spec.split(",") if tok]
-    except OverflowError:  # inf, or past the float range such as 1e400
-        raise argparse.ArgumentTypeError(
-            f"sizes must be finite, got {spec!r}") from None
-    if not sizes:
-        raise argparse.ArgumentTypeError(f"no sizes in {spec!r}")
-    if any(size < 1 for size in sizes):
-        raise argparse.ArgumentTypeError(
-            f"sizes must be positive, got {spec!r}")
-    return sizes
-
-
-def _grid_of_size(n: int) -> Graph:
-    p = max(1, int(n ** 0.5))
-    q = (n + p - 1) // p
-    return gen_grid(p, q)
-
-
-def _cmd_bench(args) -> int:
-    rows = ["size,d," + "".join(f"time_{s}," for s in STAGES) + "total"]
-    for size in args.sizes:
-        if args.kind == "grid":
-            g = _grid_of_size(size)
-        elif args.kind == "tree":
-            g = gen_tree(size, args.seed)
-        else:
-            g = gen_hypercube(max(1, size.bit_length() - 1))
-        result = run_pipeline(g)
-        times = "".join(f"{result.timings[s]:.6f}," for s in STAGES)
-        rows.append(f"{g.n},{result.index.dimension},{times}"
-                    f"{result.total_time:.6f}")
-    text = "\n".join(rows) + "\n"
-    if args.csv:
-        Path(args.csv).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="medianecc",
@@ -237,9 +182,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", help="median / bipartite / euler verdicts")
     p.add_argument("file")
     add_v0(p)
-    p.add_argument("--budget", type=int, default=5000)
-    p.add_argument("--samples", type=int, default=100_000)
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_check)
 
     p = sub.add_parser("theta", help="theta classes summary")
@@ -275,15 +217,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, choices=[2, 4], default=2)
     p.add_argument("--start", type=int)
     p.set_defaults(func=_cmd_sweep)
-
-    p = sub.add_parser("bench", help="pipeline scaling over generated sizes")
-    p.add_argument("--kind", choices=["grid", "tree", "cube"],
-                   default="grid")
-    p.add_argument("--sizes", type=_parse_sizes, default="1e4..8e4",
-                   help="comma list or doubling range lo..hi")
-    p.add_argument("--csv")
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=_cmd_bench)
 
     return parser
 

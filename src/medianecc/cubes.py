@@ -19,6 +19,17 @@ come in ``order`` (by distance from v0, ascending ids within a level), and
 ``outgoing[b]`` is b's empty pof, then one 1-cube record per upward edge,
 then larger pofs by size. Every cube with basis b is spanned by b's upward
 edges, so b's local class count k is its out-degree.
+
+Link pass: after the walk, each vertex x's outgoing 2- and 3-cube records
+are checked against the 3-cube condition (see ``theta``): three classes
+at x whose squares at x pairwise exist must span a 3-cube. Sort such a
+triangle by how many of its classes point into x. (in, in, in) is the
+walk from x; (in, in, out) with out class c is the walk from x+c, into
+which the two mixed squares put both in-classes. The other two kinds are
+checked here: (in, out, out) against the anti-basis of the {b, c} square,
+(out, out, out) against x's 3-cube records. With theta's checks, which
+give simple connectivity and rule out induced K_2,3, ``enumerate_cubes``
+then accepts exactly the median graphs.
 """
 from __future__ import annotations
 
@@ -77,8 +88,9 @@ def enumerate_cubes(g: Graph, theta: ThetaDecomposition) -> CubeIndex:
     A record's basis is its anti-basis walked down one incident edge per
     class, in ascending class order; the walk reuses the record without
     the last class, so it takes one step. Each step must land one level
-    closer to v0; a missing edge or a wrong level marks non-median input.
-    Of g only the vertex count is read.
+    closer to v0; a missing edge or a wrong level marks non-median input,
+    as does a link triangle of classes that spans no 3-cube. Of g only
+    the vertex count is read.
     """
     n = g.n
     dist0 = theta.dist0
@@ -124,6 +136,7 @@ def enumerate_cubes(g: Graph, theta: ThetaDecomposition) -> CubeIndex:
         pofs += ps
         ingoing[v] = range(start, len(pofs))
 
+    _check_links(index, theta)
     R = len(pofs)
     index.phi = [0] * R
     index.mu = basis[:]
@@ -131,3 +144,69 @@ def enumerate_cubes(g: Graph, theta: ThetaDecomposition) -> CubeIndex:
     index.psi_witness = [-1] * R
     index.dimension = dim
     return index
+
+
+def _check_links(index: CubeIndex, theta: ThetaDecomposition) -> None:
+    """Refuse three classes at a vertex x whose squares at x pairwise
+    exist but lie in no 3-cube.
+
+    The walk fills the triangles with two or three classes into x (see
+    the module docstring); the other two kinds are read from x's outgoing
+    2-cube records {b, c}, whose anti-basis is w = x+b+c.
+    (in, out, out): a class a into x that is also into x+b and x+c must be
+    into w. (out, out, out): every triangle of the graph whose edges are
+    those records must be the pof of a 3-cube record at x; the 3-cube
+    records are among the triangles, so counting them suffices.
+    """
+    in_classes, incident = theta.in_classes, theta.incident
+    pofs = index.pof
+    for x, out in enumerate(index.outgoing):
+        inc = incident[x]
+        ins = in_classes[x]
+        # out: the empty pof, one 1-cube per upward edge, then by size
+        first = stop = len(inc) - len(ins) + 1
+        end = len(out)
+        if end == first:
+            continue
+        while stop < end and len(pofs[out[stop]]) == 2:
+            stop += 1
+        if ins:
+            for j in range(first, stop):
+                b, c = pofs[out[j]]
+                xb, xc = inc[b], inc[c]
+                ib, ic = in_classes[xb], in_classes[xc]
+                for a in ins:
+                    if a in ib and a in ic and \
+                            a not in in_classes[incident[xb][c]]:
+                        raise _unfilled(x, a, b, c)
+        if stop - first < 3:
+            continue
+        bit = {pofs[out[i]][0]: 1 << i for i in range(1, first)}
+        nbr = dict.fromkeys(bit, 0)
+        for j in range(first, stop):
+            b, c = pofs[out[j]]
+            nbr[b] |= bit[c]
+            nbr[c] |= bit[b]
+        triangles = 0
+        for j in range(first, stop):
+            b, c = pofs[out[j]]
+            triangles += (nbr[b] & nbr[c]).bit_count()
+        stop3 = stop
+        while stop3 < end and len(pofs[out[stop3]]) == 3:
+            stop3 += 1
+        # each triangle is counted once per edge
+        if triangles != 3 * (stop3 - stop):
+            filled = {pofs[r] for r in out[stop:stop3]}
+            for j in range(first, stop):
+                b, c = pofs[out[j]]
+                for e, m in bit.items():
+                    if e > c and nbr[b] & nbr[c] & m and \
+                            (b, c, e) not in filled:
+                        raise _unfilled(x, b, c, e)
+
+
+def _unfilled(x: int, *classes: int) -> NonMedianGraphError:
+    a, b, c = sorted(classes)
+    return NonMedianGraphError(
+        f"classes {a}, {b} and {c} pairwise span squares at vertex {x} "
+        f"but no 3-cube (the link of {x} is not flag)")

@@ -7,15 +7,36 @@ components (the halfspaces). Orienting every edge away from a basepoint v0
 gives each vertex its ingoing / outgoing class sets, the raw material for
 the cube enumeration.
 
-Median graphs are the 1-skeleta of CAT(0) cube complexes (Chepoi 2000),
-which by Gromov's criterion are the simply connected ones with flag links.
+Median graphs are the 1-skeleta of CAT(0) cube complexes (Chepoi, "Graphs
+of some CAT(0) complexes", Adv. Appl. Math. 24, 2000), which by Gromov's
+criterion are the simply connected ones whose vertex links are flag
+simplicial complexes. In graph terms (Chepoi 2000): a graph is median
+exactly when the cube complex spanned by its induced cubes is simply
+connected, it has no induced K_2,3, and it satisfies the 3-cube condition:
+any three squares that share a vertex and pairwise share an edge lie in
+one 3-cube.
+
 The simply connected half is checked here: any two ingoing edges of a
 vertex must close a square two levels down. On any cycle, both cycle edges
 at its vertex farthest from v0 point into it, so their square replaces
 them by two edges one level lower, shortening the cycle's total distance
-to v0; repeating this contracts every cycle through squares. The link half
-(three edges at a vertex that pairwise span squares span a 3-cube) is not
-checked yet, so some non-median inputs pass (ROADMAP item 1).
+to v0; repeating this contracts every cycle through squares.
+
+No input that passes here has two squares at a vertex x that share both
+of x's edges x-u and x-v (an induced K_2,3, a link that is not
+simplicial): then u and v have three common neighbours x, y, y', and some
+class gets two edges at one vertex, which the matching check refuses.
+If u and v are on different levels, say v above, then x, y, y' all point
+into v, and v's square checks complete (x, y) and (x, y') at u, putting
+u-y and u-y' into the class of v-x. If u and v are on one level, two of
+x, y, y' are on the same side of it. Two above, z and z', both complete
+(u, v) at the same vertex w below, putting u-z and u-z' into the class of
+v-w. Two below, p and p', are completed at one vertex w two levels down
+by the square checks at u and at v, putting u-p and v-p into the class of
+p'-w. A missing or ambiguous completion is refused where it is met.
+
+The link half, the 3-cube condition, is checked at the end of
+``cubes.enumerate_cubes``.
 
 Graphs of ``graph.FLAT_MIN_EDGES`` edges or more go through
 ``medianecc.flat``, the same steps on numpy arrays; where it refuses a
@@ -31,8 +52,9 @@ from .graph import FLAT_MIN_EDGES, Graph, bfs
 class NonMedianGraphError(RuntimeError):
     """A structural invariant that holds on median graphs failed.
 
-    The decomposition does not verify medianness up front; it raises this
-    as soon as the input contradicts an invariant it relies on.
+    Nothing verifies medianness up front; theta and the cube enumeration
+    raise this as soon as the input contradicts an invariant they rely on,
+    and between them they do so on every input that is not median.
     """
 
 

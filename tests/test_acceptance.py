@@ -9,16 +9,15 @@ import time
 
 import pytest
 
-from helpers import (acceptance_corpus_graphs, anti_bases, class_edges,
-                     diameter_via_upsilon, is_convex, is_gated, ortho_pairs,
-                     orthogonal)
+from helpers import (acceptance_corpus_graphs, anti_bases,
+                     brute_eccentricities, class_edges, diameter_via_upsilon,
+                     halfspace_sides, is_convex, is_gated, ladder_set_oracle,
+                     milestones_oracle, ortho_pairs, orthogonal)
 
 from medianecc import bfs, run_pipeline
 from medianecc.generators import fixture, gen_grid, gen_hypercube
 from medianecc.heuristics import sweep2, sweep4
-from medianecc.oracle import (brute_eccentricities, distance_matrix,
-                              halfspace_sides, ladder_set_oracle,
-                              milestones_oracle)
+from medianecc.oracle import distance_matrix
 
 
 @pytest.fixture(scope="module")

@@ -4,8 +4,9 @@ from pathlib import Path
 
 import pytest
 
-from medianecc import save_graph
-from medianecc.generators import fixture
+from medianecc import build_graph, save_graph
+from medianecc.generators import (cartesian_product, fixture, gen_grid,
+                                  gen_hypercube)
 from medianecc.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -94,7 +95,37 @@ def test_check_reports_non_median(tmp_path, capsys):
     assert main(["check", str(path)]) == 0
     out = capsys.readouterr().out
     assert "median false" in out
-    assert "theta failed" in out
+    assert "refused: ingoing edges of vertex 3 through 2 and 4 close no " \
+        "square" in out
+
+
+def test_check_refuses_an_unfilled_link_above_128_vertices(tmp_path, capsys):
+    # Q3 minus a vertex, times a path: theta passes from vertex 0 and only
+    # the link check refuses, at the corner whose three squares have lost
+    # their 3-cube
+    q3 = gen_hypercube(3)
+    g = cartesian_product(build_graph(7, [e for e in q3.edges if 7 not in e]),
+                          gen_grid(1, 19))
+    assert g.n == 133
+    path = tmp_path / "q3_minus_x_path.txt"
+    path.write_text(save_graph(g), encoding="utf-8")
+    assert main(["check", str(path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == [
+        "bipartite true", "euler_check -52", "median false",
+        "refused: classes 18, 19 and 20 pairwise span squares at vertex 0 "
+        "but no 3-cube (the link of 0 is not flag)"]
+
+
+def test_check_is_exact_on_the_readme_grid(tmp_path, capsys):
+    # 40,000 vertices, with no budget and no sampling
+    path = str(tmp_path / "grid.txt")
+    assert main(["gen", "--kind", "grid", "--p", "200", "--q", "200",
+                 "--out", path]) == 0
+    capsys.readouterr()
+    assert main(["check", path]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "bipartite true", "euler_check 2", "median true"]
 
 
 def test_check_reports_odd_cycle_as_not_bipartite(tmp_path, capsys):
@@ -107,7 +138,7 @@ def test_check_reports_odd_cycle_as_not_bipartite(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("exc, line", [
-    # numpy reports a distance matrix that does not fit as a MemoryError
+    # numpy's wording for an array that does not fit
     (MemoryError("Unable to allocate 11.9 GiB for an array with shape "
                  "(40000, 40000) and data type float64"),
      "error: Unable to allocate 11.9 GiB for an array with shape "
@@ -120,7 +151,7 @@ def test_check_out_of_memory_is_an_error_line(gstar_file, capsys,
     def no_memory(*args, **kwargs):
         raise exc
 
-    monkeypatch.setattr("medianecc.oracle.dijkstra", no_memory)
+    monkeypatch.setattr("medianecc.cli.enumerate_cubes", no_memory)
     assert main(["check", gstar_file]) == 1
     assert capsys.readouterr().err == line
 
@@ -145,52 +176,6 @@ def test_gen_roundtrip(tmp_path, capsys):
                      "--out", str(out)] + extra) == 0
         assert main(["check", str(out)]) == 0
         assert "median true" in capsys.readouterr().out
-
-
-def test_bench_csv_format(tmp_path):
-    out = tmp_path / "bench.csv"
-    assert main(["bench", "--kind", "grid", "--sizes", "100,200",
-                 "--csv", str(out)]) == 0
-    lines = out.read_text().strip().splitlines()
-    assert lines[0] == ("size,d,time_theta,time_cubes,time_phi,"
-                        "time_opposites,time_psi,time_ecc,total")
-    assert len(lines) == 3
-    first = lines[1].split(",")
-    assert int(first[0]) == 100 and int(first[1]) == 2
-    for row in lines[1:]:
-        times = [float(x) for x in row.split(",")[2:]]
-        # seven fields, each rounded to 6 decimals
-        assert abs(sum(times[:-1]) - times[-1]) <= 7 * 0.5e-6 + 1e-9, row
-
-
-def test_bench_doubling_range(capsys):
-    assert main(["bench", "--kind", "grid", "--sizes", "64..256"]) == 0
-    lines = capsys.readouterr().out.strip().splitlines()
-    sizes = [int(row.split(",")[0]) for row in lines[1:]]
-    # grids round the target up to the nearest p*q factorization
-    assert len(sizes) == 3
-    for got, target in zip(sizes, (64, 128, 256)):
-        assert target <= got <= target * 1.1
-
-
-@pytest.mark.parametrize("sizes", ["0..10", "-4..10", "100,0"])
-def test_bench_non_positive_sizes_are_usage_errors(sizes, capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["bench", f"--sizes={sizes}"])
-    assert exc.value.code == 2
-    assert "sizes must be positive" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("sizes, message", [
-    ("inf", "sizes must be finite"), ("1e400", "sizes must be finite"),
-    ("1..inf", "sizes must be finite"), ("10..5", "no sizes in '10..5'")])
-def test_bench_infinite_or_empty_sizes_are_usage_errors(sizes, message,
-                                                        capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["bench", f"--sizes={sizes}"])
-    assert exc.value.code == 2
-    err = capsys.readouterr().err
-    assert err.startswith("usage:") and message in err
 
 
 def test_missing_file_is_input_error(capsys):

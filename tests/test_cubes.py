@@ -5,7 +5,8 @@ from types import SimpleNamespace
 
 import pytest
 
-from helpers import anti_bases, is_pof, ortho_pairs, record_id
+from helpers import (anti_bases, is_pof, minus_vertex, ortho_pairs,
+                     record_id)
 
 from medianecc import (NonMedianGraphError, bfs, build_graph, compute_theta,
                        enumerate_cubes, load_graph)
@@ -242,3 +243,27 @@ def test_layout_the_sweeps_read(small_corpus):
             assert sizes[1:k + 1] == [1] * k, (name, b)
             assert sizes.count(1) == k, (name, b)
             assert sizes == sorted(sizes), (name, b)
+
+
+@pytest.mark.parametrize("v0", [0, 1])
+def test_link_check_refuses_q3_minus_a_vertex(v0):
+    # theta passes from both basepoints. From 0 the three squares at 0
+    # point away from it (out, out, out); from 1 the class of edge (0, 1)
+    # points into 0 and is also into 2 and 4 but not into 6 (in, out, out)
+    g = minus_vertex(gen_hypercube(3), 7)
+    theta = compute_theta(g, v0)
+    with pytest.raises(NonMedianGraphError,
+                       match=r"^classes 0, 1 and 2 pairwise span squares at "
+                             r"vertex 0 but no 3-cube \(the link of 0 is "
+                             r"not flag\)$"):
+        enumerate_cubes(g, theta)
+
+
+def test_link_check_names_the_one_unfilled_triangle():
+    # Q4 minus vertex 14: at vertex 0 four link triangles, three filled
+    g = minus_vertex(gen_hypercube(4), 14)
+    theta = compute_theta(g, 0)
+    with pytest.raises(NonMedianGraphError,
+                       match="^classes 1, 2 and 3 pairwise span squares at "
+                             "vertex 0 but no 3-cube"):
+        enumerate_cubes(g, theta)

@@ -2,14 +2,13 @@ from __future__ import annotations
 
 import pytest
 
-from helpers import quick_dimension
+from helpers import brute_eccentricities, is_median, quick_dimension
 
 from medianecc import compute_theta, enumerate_cubes
 from medianecc.generators import (FIXTURE_NAMES, cartesian_product,
                                   expand_once, fixture, gen_grid,
                                   gen_hypercube, gen_tree,
                                   peripheral_expansion)
-from medianecc.oracle import brute_eccentricities, is_median
 
 
 def test_hypercube_small_cases():

@@ -3,7 +3,8 @@ from __future__ import annotations
 from medianecc import bfs, build_graph
 from medianecc.generators import fixture, gen_hypercube, gen_tree
 from medianecc.heuristics import sweep2, sweep4
-from medianecc.oracle import brute_eccentricities
+
+from helpers import brute_eccentricities
 
 
 def test_sweep2_exact_on_paths():

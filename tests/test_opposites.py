@@ -8,9 +8,9 @@ from medianecc import (build_graph, compute_phi, compute_opposites,
 from medianecc.generators import (cartesian_product, fixture, gen_grid,
                                   gen_hypercube, gen_tree)
 from medianecc.opposites import _memo_opposites, opposite_records
-from medianecc.oracle import brute_eccentricities
 
-from helpers import diameter_via_upsilon, scan_opposites, upsilon
+from helpers import (brute_eccentricities, diameter_via_upsilon,
+                     scan_opposites, upsilon)
 
 
 def _prepared(g, v0=0):

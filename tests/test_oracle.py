@@ -4,13 +4,14 @@ import random
 
 import pytest
 
-from helpers import class_edges, is_convex, is_gated
+import helpers
+from helpers import (brute_eccentricities, class_edges, halfspace_sides,
+                     is_convex, is_gated, is_median, medians_of_triple)
 
 from medianecc import bfs, build_graph, compute_theta
 from medianecc.generators import (_interval, fixture, gen_grid,
                                   gen_hypercube, gen_tree)
-from medianecc.oracle import (brute_eccentricities, distance_matrix,
-                              halfspace_sides, is_median, medians_of_triple)
+from medianecc.oracle import distance_matrix
 
 
 def test_distance_matrix_matches_bfs():
@@ -87,7 +88,7 @@ def test_sampled_mode_on_larger_graphs(monkeypatch):
     verdict = is_median(g, samples=20_000, seed=1)
     assert verdict.is_median and verdict.mode == "sampled"
     c6 = build_graph(6, [(i, (i + 1) % 6) for i in range(6)])
-    monkeypatch.setattr("medianecc.oracle.EXHAUSTIVE_LIMIT", 2)
+    monkeypatch.setattr(helpers, "EXHAUSTIVE_LIMIT", 2)
     bad = is_median(c6, samples=20_000, seed=1)
     assert not bad.is_median and bad.mode == "sampled"
 

@@ -4,15 +4,15 @@ import random
 
 import pytest
 
-from helpers import (brute_phi_table, is_pof, ortho_pairs, record_id,
-                     scan_phi, scan_psi)
+from helpers import (brute_phi_table, is_pof, ladder_set_oracle,
+                     ortho_pairs, record_id, scan_phi, scan_psi)
 
 from medianecc import (build_graph, compute_opposites, compute_phi,
                        compute_psi, compute_theta, enumerate_cubes)
 from medianecc.generators import (cartesian_product, fixture, gen_hypercube,
                                   gen_tree, peripheral_expansion)
 from medianecc.labels import local_masks
-from medianecc.oracle import distance_matrix, ladder_set_oracle
+from medianecc.oracle import distance_matrix
 
 # a strip of squares climbing from the basepoint into a 3-cube; vertex 2
 # reaches the far cube corner 15 through the jumps 2 -> 6 -> 9 -> 15

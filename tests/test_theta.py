@@ -2,14 +2,13 @@ from __future__ import annotations
 
 import pytest
 
-from helpers import (class_edges, djokovic_classes, is_pof, ortho_pairs,
-                     orthogonal, theta_partition)
+from helpers import (class_edges, djokovic_classes, halfspace_sides, is_pof,
+                     ortho_pairs, orthogonal, theta_partition)
 
 from medianecc import (NonMedianGraphError, build_graph, compute_theta,
                        enumerate_cubes)
 from medianecc import flat
 from medianecc.generators import fixture, gen_tree
-from medianecc.oracle import halfspace_sides
 
 
 def test_square_has_two_classes_of_opposite_edges():
