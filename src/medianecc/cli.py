@@ -53,15 +53,21 @@ def _cmd_gen(args) -> int:
 
 def _cmd_check(args) -> int:
     g = _read_graph(args.file)
-    # connected: bipartite iff no edge joins two vertices of one BFS level
-    dist = bfs(g, 0)
-    bip = all(dist[u] != dist[v] for u, v in g.edges)
-    print(f"bipartite {'true' if bip else 'false'}")
     # theta and the cube walk with its link check accept exactly the
-    # median graphs
+    # median graphs. A connected graph is bipartite iff no edge joins two
+    # vertices of one BFS level, which theta checks first; so only a
+    # refusal needs a search of its own.
     try:
         theta = compute_theta(g, args.v0)
-        print(f"euler_check {2 * g.n - g.m - theta.q}")
+    except NonMedianGraphError as exc:
+        dist = bfs(g, 0)
+        bip = all(dist[u] != dist[v] for u, v in g.edges)
+        print(f"bipartite {'true' if bip else 'false'}")
+        print(f"median false\nrefused: {exc}")
+        return 0
+    print("bipartite true")
+    print(f"euler_check {2 * g.n - g.m - theta.q}")
+    try:
         enumerate_cubes(g, theta)
     except NonMedianGraphError as exc:
         print(f"median false\nrefused: {exc}")
@@ -143,11 +149,7 @@ def _cmd_ecc(args) -> int:
 
 def _cmd_sweep(args) -> int:
     g = _read_graph(args.file)
-    start = args.start if args.start is not None else 0
-    if not (0 <= start < g.n):
-        print(f"start vertex {start} out of range", file=sys.stderr)
-        return 1
-    res = sweep2(g, start) if args.k == 2 else sweep4(g, start)
+    res = sweep2(g, args.start) if args.k == 2 else sweep4(g, args.start)
     print(f"distance {res.distance} pair {res.a} {res.b}")
     return 0
 
@@ -215,7 +217,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="2-sweep / 4-sweep lower bound")
     p.add_argument("file")
     p.add_argument("--k", type=int, choices=[2, 4], default=2)
-    p.add_argument("--start", type=int)
+    p.add_argument("--start", type=int, default=0,
+                   help="first vertex of the sweep (default 0)")
     p.set_defaults(func=_cmd_sweep)
 
     return parser

@@ -1,16 +1,16 @@
 """Parsing, validation and theta classes on numpy arrays, for large inputs.
 
-``graph.load_graph``, ``graph.build_graph`` and ``theta.compute_theta``
-call the functions of the same names here for inputs of
-``graph.FLAT_MIN_EDGES`` edges or more, and only then import this module
-and numpy. Each returns what the caller returns, or None where a check
-fails; the caller then runs its scalar code, which raises the error and
-message it always has. So both paths give the same results and errors.
+``graph.load_graph`` and ``theta.compute_theta`` call the functions of
+the same names here for inputs of ``graph.FLAT_MIN_EDGES`` edges or more,
+and only then import this module and numpy. Each returns what the caller
+returns, or None where a check fails; the caller then runs its scalar
+code, which raises the error and message it always has. So both paths
+give the same results and errors.
 
 - ``load_graph`` parses a plain text (decimal digits, blanks and
   newlines, as ``save_graph`` writes) in one ``np.loadtxt`` call; any
   other text, comments and CRLF included, is left to the line scanner.
-- ``build_graph`` checks ids, self-loops, duplicate edges (as sorted
+  It then checks ids, self-loops, duplicate edges (as sorted
   ``min*n + max`` keys) and connectivity (``min_labels``) on arrays.
 - ``compute_theta`` takes distances from v0, checks that no edge joins
   equal levels, pairs the ingoing edges of each vertex and finds each
@@ -36,7 +36,7 @@ from __future__ import annotations
 import io
 import re
 from itertools import chain, islice
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -61,18 +61,6 @@ def load_graph(text: str) -> Optional[Graph]:
     if rows.shape[1] != 2 or rows[0, 1] != len(rows) - 1:
         return None
     return _build(int(rows[0, 0]), rows[1:, 0], rows[1:, 1])
-
-
-def build_graph(n: int, edges: Sequence[tuple[int, int]]) -> Optional[Graph]:
-    """The graph of a sequence of int pairs; None for anything else and
-    where a check fails."""
-    try:
-        pairs = np.asarray(edges)
-    except (ValueError, OverflowError):  # ragged, or ints past int64
-        return None
-    if pairs.dtype.kind != "i" or pairs.shape != (len(edges), 2):
-        return None
-    return _build(n, pairs[:, 0], pairs[:, 1])
 
 
 def _build(n: int, u, v) -> Optional[Graph]:

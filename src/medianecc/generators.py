@@ -4,12 +4,16 @@ Trees, grids, hypercubes, Cartesian products of median factors, and
 interval-based peripheral expansions all stay median by construction.
 The fixtures pin exact vertex ids so the heuristic counterexample runs
 are reproducible regression tests.
+
+Each output is simple and connected by construction, from the parameters
+checked here and from input graphs that are already valid, so the graphs
+are built directly and never pass through ``graph.build_graph``.
 """
 from __future__ import annotations
 
 import random
 
-from .graph import Graph, bfs, build_graph
+from .graph import Graph, bfs
 
 FIXTURE_NAMES = ("gstar", "hstar", "fig3", "cogwheel", "fig2c")
 
@@ -45,7 +49,7 @@ def fixture(name: str) -> Graph:
     except KeyError:
         raise ValueError(f"unknown fixture {name!r}; "
                          f"choose from {', '.join(FIXTURE_NAMES)}") from None
-    return build_graph(n, edges)
+    return Graph(n=n, edges=tuple(edges))
 
 
 def gen_tree(n: int, seed: int) -> Graph:
@@ -54,7 +58,7 @@ def gen_tree(n: int, seed: int) -> Graph:
         raise ValueError("tree needs at least one vertex")
     rng = random.Random(seed)
     edges = [(rng.randrange(v), v) for v in range(1, n)]
-    return build_graph(n, edges)
+    return Graph(n=n, edges=tuple(edges))
 
 
 def gen_grid(p: int, q: int) -> Graph:
@@ -69,7 +73,7 @@ def gen_grid(p: int, q: int) -> Graph:
                 edges.append((v, v + 1))
             if i + 1 < p:
                 edges.append((v, v + q))
-    return build_graph(p * q, edges)
+    return Graph(n=p * q, edges=tuple(edges))
 
 
 def gen_hypercube(k: int) -> Graph:
@@ -79,7 +83,7 @@ def gen_hypercube(k: int) -> Graph:
     n = 1 << k
     edges = [(x, x | (1 << b))
              for x in range(n) for b in range(k) if not x >> b & 1]
-    return build_graph(n, edges)
+    return Graph(n=n, edges=tuple(edges))
 
 
 def cartesian_product(g1: Graph, g2: Graph,
@@ -96,7 +100,7 @@ def cartesian_product(g1: Graph, g2: Graph,
     for u, v in g1.edges:
         for b in range(g2.n):
             edges.append((u * g2.n + b, v * g2.n + b))
-    return build_graph(n, edges)
+    return Graph(n=n, edges=tuple(edges))
 
 
 def _interval(g: Graph, a: int, b: int) -> list:
@@ -117,7 +121,7 @@ def _double(g: Graph, hull: list) -> Graph:
             edges.append((cu, cv))
     for h in hull:
         edges.append((h, clone[h]))
-    return build_graph(g.n + len(hull), edges)
+    return Graph(n=g.n + len(hull), edges=tuple(edges))
 
 
 def expand_once(g: Graph, a: int, b: int) -> Graph:

@@ -3,9 +3,11 @@
 Vertex ids are dense 0-based integers and edge ids follow input order, so
 every label and witness produced downstream is reproducible from the file.
 
-Inputs of ``FLAT_MIN_EDGES`` edges or more are parsed and validated on
+``load_graph`` and ``build_graph`` validate every edge list that comes
+from outside the program; the generators build valid graphs directly.
+Texts of ``FLAT_MIN_EDGES`` lines or more are parsed and validated on
 numpy arrays by ``medianecc.flat``, which is imported only then; where it
-refuses an input, the line scanner and the per-edge checks here raise the
+refuses a text, the line scanner and the per-edge checks here raise the
 error and message they always have. ``Graph.neighbors`` is built on first
 read, and the pipeline never reads it on the flat path.
 """
@@ -16,8 +18,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Sequence
 
-# Edge count from which inputs take the flat path; medianecc.flat gives
-# the measurements behind it.
+# Edge count from which edge-list texts and compute_theta take the flat
+# path; medianecc.flat gives the measurements behind it.
 FLAT_MIN_EDGES = 16_384
 
 
@@ -63,22 +65,12 @@ class Graph:
 
 def build_graph(n: int, edges: Sequence[tuple[int, int]],
                 edge_lines: Optional[Sequence[int]] = None) -> Graph:
-    """Validate and freeze a graph from a raw edge list.
+    """Validate and freeze a graph from a raw edge list, one edge at a
+    time; names the first fault it meets.
 
     ``edge_lines`` optionally maps edge position -> source line number so
     validation errors can point at the offending input line.
     """
-    if len(edges) >= FLAT_MIN_EDGES:
-        from . import flat
-        g = flat.build_graph(n, edges)
-        if g is not None:
-            return g
-    return _build_scalar(n, edges, edge_lines)
-
-
-def _build_scalar(n: int, edges: Sequence[tuple[int, int]],
-                  edge_lines: Optional[Sequence[int]]) -> Graph:
-    """build_graph one edge at a time; names the first fault it meets."""
     if n < 1:
         raise GraphValidationError(f"vertex count must be positive, got {n}")
     if len(edges) < n - 1:

@@ -11,8 +11,6 @@ from .labels import compute_phi
 from .opposites import compute_opposites
 from .theta import ThetaDecomposition, compute_theta
 
-STAGES = ("theta", "cubes", "phi", "opposites", "psi", "ecc")
-
 
 @dataclass
 class PipelineResult:
@@ -27,8 +25,8 @@ class PipelineResult:
 
 
 def run_pipeline(g: Graph, v0: int = 0) -> PipelineResult:
-    """Run every stage, recording per-stage wall time under its STAGES
-    name."""
+    """Run every stage, recording its wall time in seconds under the
+    ``timings`` keys "theta", "cubes", "phi", "opposites", "psi", "ecc"."""
     timings = {}
 
     def timed(stage, fn, *args):

@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from medianecc import build_graph, save_graph
+from medianecc import cli
 from medianecc.generators import (cartesian_product, fixture, gen_grid,
                                   gen_hypercube)
 from medianecc.cli import main
@@ -24,6 +25,20 @@ def hstar_file(tmp_path):
     path = tmp_path / "hstar.txt"
     path.write_text(save_graph(fixture("hstar")), encoding="utf-8")
     return str(path)
+
+
+@pytest.fixture()
+def bfs_calls(monkeypatch):
+    """The sources of the searches the CLI runs itself, in call order."""
+    calls = []
+    real_bfs = cli.bfs
+
+    def counted(g, source):
+        calls.append(source)
+        return real_bfs(g, source)
+
+    monkeypatch.setattr(cli, "bfs", counted)
+    return calls
 
 
 def test_ecc_output(gstar_file, capsys):
@@ -52,6 +67,7 @@ def test_sweep_output(gstar_file, hstar_file, capsys):
 
 def test_sweep_bad_start(gstar_file, capsys):
     assert main(["sweep", gstar_file, "--start", "99"]) == 1
+    assert capsys.readouterr().err == "error: source 99 out of range 0..4\n"
 
 
 def test_diam_output(hstar_file, capsys):
@@ -81,19 +97,24 @@ def test_phi_dump(gstar_file, capsys):
     assert all(len(line.split()) == 4 for line in lines)
 
 
-def test_check_output(gstar_file, capsys):
+def test_check_output(gstar_file, capsys, bfs_calls):
     assert main(["check", gstar_file]) == 0
     out = capsys.readouterr().out
     assert "bipartite true" in out
     assert "median true" in out
     assert "euler_check 2" in out
+    # theta's acceptance is the bipartite verdict; no search of its own
+    assert bfs_calls == []
 
 
-def test_check_reports_non_median(tmp_path, capsys):
+def test_check_reports_non_median(tmp_path, capsys, bfs_calls):
     path = tmp_path / "c6.txt"
     path.write_text("6 6\n0 1\n1 2\n2 3\n3 4\n4 5\n5 0\n", encoding="utf-8")
     assert main(["check", str(path)]) == 0
     out = capsys.readouterr().out
+    # theta refuses a bipartite graph here, so one search decides it
+    assert bfs_calls == [0]
+    assert "bipartite true" in out
     assert "median false" in out
     assert "refused: ingoing edges of vertex 3 through 2 and 4 close no " \
         "square" in out
@@ -117,7 +138,7 @@ def test_check_refuses_an_unfilled_link_above_128_vertices(tmp_path, capsys):
         "but no 3-cube (the link of 0 is not flag)"]
 
 
-def test_check_is_exact_on_the_readme_grid(tmp_path, capsys):
+def test_check_is_exact_on_the_readme_grid(tmp_path, capsys, bfs_calls):
     # 40,000 vertices, with no budget and no sampling
     path = str(tmp_path / "grid.txt")
     assert main(["gen", "--kind", "grid", "--p", "200", "--q", "200",
@@ -126,15 +147,25 @@ def test_check_is_exact_on_the_readme_grid(tmp_path, capsys):
     assert main(["check", path]) == 0
     assert capsys.readouterr().out.splitlines() == [
         "bipartite true", "euler_check 2", "median true"]
+    assert bfs_calls == []
 
 
-def test_check_reports_odd_cycle_as_not_bipartite(tmp_path, capsys):
+def test_check_reports_odd_cycle_as_not_bipartite(tmp_path, capsys,
+                                                  bfs_calls):
     path = tmp_path / "c5.txt"
     path.write_text("5 5\n0 1\n1 2\n2 3\n3 4\n4 0\n", encoding="utf-8")
     assert main(["check", str(path)]) == 0
     out = capsys.readouterr().out
+    assert bfs_calls == [0]
     assert "bipartite false" in out
     assert "median false" in out
+
+
+def test_check_basepoint_out_of_range_prints_only_the_error(gstar_file,
+                                                            capsys):
+    assert main(["check", gstar_file, "--v0", "9"]) == 1
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", "error: basepoint 9 out of range 0..4\n")
 
 
 @pytest.mark.parametrize("exc, line", [

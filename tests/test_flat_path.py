@@ -1,5 +1,6 @@
-"""The flat (numpy) and scalar paths of build_graph and compute_theta give
-the same results and refuse the same inputs.
+"""The flat (numpy) and scalar paths give the same results and refuse the
+same inputs: ``load_graph``'s array validation (``flat._build``) against
+``build_graph``, and the two paths of ``compute_theta``.
 
 The path functions are called directly, so the edge-count cut that picks
 a path in the public functions is bypassed. A ``medianecc.flat`` function
@@ -11,7 +12,10 @@ parsers is pinned in test_graph.py.
 """
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
 
 import numpy as np
 
@@ -52,10 +56,10 @@ def assert_same_theta(g, v0):
 
 
 def build_both(n, edges):
-    """(flat, scalar) outcomes of build_graph on an edge list."""
+    """Outcomes of flat._build and of build_graph on an edge list."""
     pairs = np.array(edges, dtype=np.int64).reshape(-1, 2)
     return (flat._build(n, pairs[:, 0], pairs[:, 1]),
-            outcome(graph_mod._build_scalar, n, edges, None))
+            outcome(graph_mod.build_graph, n, edges))
 
 
 def assert_same_graph(flat_graph, scalar):
@@ -167,3 +171,19 @@ def test_scaling_grids_take_the_flat_path(monkeypatch):
         p = max(1, int(n_target ** 0.5))
         theta_mod.compute_theta(gen_grid(p, (n_target + p - 1) // p))
     assert flat_results == [True] * 4
+
+
+def test_generators_and_small_runs_leave_numpy_unloaded():
+    # the cut keeps numpy's import and resident memory off every run up to
+    # Q11; a generated grid, however large, is never re-validated on arrays
+    code = ("import sys\n"
+            "from medianecc import run_pipeline\n"
+            "from medianecc.generators import gen_grid, gen_hypercube\n"
+            "gen_grid(283, 283)\n"
+            "run_pipeline(gen_hypercube(11))\n"
+            "print('numpy' in sys.modules)\n")
+    src = os.path.dirname(os.path.dirname(graph_mod.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=300).stdout
+    assert out == "False\n"

@@ -4,11 +4,36 @@ import pytest
 
 from helpers import brute_eccentricities, is_median, quick_dimension
 
-from medianecc import compute_theta, enumerate_cubes
+from medianecc import build_graph, compute_theta, enumerate_cubes
 from medianecc.generators import (FIXTURE_NAMES, cartesian_product,
                                   expand_once, fixture, gen_grid,
                                   gen_hypercube, gen_tree,
                                   peripheral_expansion)
+
+
+def generated():
+    """One output of every generator and fixture, small enough to check."""
+    graphs = [gen_tree(n, seed) for seed, n in enumerate((1, 2, 7, 35, 300))]
+    graphs += [gen_grid(p, q) for p, q in ((1, 1), (1, 9), (7, 1), (3, 3),
+                                           (9, 11))]
+    graphs += [gen_hypercube(k) for k in range(7)]
+    graphs += [cartesian_product(gen_tree(7, 2), gen_grid(2, 3)),
+               cartesian_product(gen_hypercube(1), gen_hypercube(1)),
+               cartesian_product(gen_hypercube(3), gen_tree(9, 4))]
+    graphs += [expand_once(gen_tree(1, 0), 0, 0),
+               expand_once(gen_grid(3, 4), 0, 11),
+               expand_once(gen_tree(20, 5), 3, 17)]
+    graphs += [peripheral_expansion(gen_tree(1, 0), seed, 15, max_n=200)
+               for seed in range(4)]
+    graphs += [fixture(name) for name in FIXTURE_NAMES]
+    return graphs
+
+
+def test_generators_output_valid_graphs():
+    # generators build their graphs without build_graph; this is the check
+    # that each output is simple, connected and has dense ids
+    for g in generated():
+        assert build_graph(g.n, list(g.edges)) == g
 
 
 def test_hypercube_small_cases():
