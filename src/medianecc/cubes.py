@@ -14,11 +14,13 @@ and record ``ingoing[v][M]`` has the classes of M's bits as its pof.
 Recurrence: with h the top bit of M, the basis of record M is one edge of
 class ``in_classes[v][h]`` away from the basis of record ``M ^ 1<<h``, and
 its pof is that record's pof plus that class, so each record costs one edge
-step and one level check. The label sweeps rely on this layout: anti-bases
-come in ``order`` (by distance from v0, ascending ids within a level), and
-``outgoing[b]`` is b's empty pof, then one 1-cube record per upward edge,
-then larger pofs by size. Every cube with basis b is spanned by b's upward
-edges, so b's local class count k is its out-degree.
+step and one level check. On median input each of the n distinct pofs is
+some vertex's ``in_classes``, and the records share those tuples. The
+label sweeps rely on this layout: anti-bases come in ``order`` (by
+distance from v0, ascending ids within a level), and ``outgoing[b]`` is
+b's empty pof, then one 1-cube record per upward edge, then larger pofs
+by size. Every cube with basis b is spanned by b's upward edges, so b's
+local class count k is its out-degree.
 
 Link pass: after the walk, each vertex x's outgoing 2- and 3-cube records
 are checked against the 3-cube condition (see ``theta``): three classes
@@ -27,9 +29,10 @@ triangle by how many of its classes point into x. (in, in, in) is the
 walk from x; (in, in, out) with out class c is the walk from x+c, into
 which the two mixed squares put both in-classes. The other two kinds are
 checked here: (in, out, out) against the anti-basis of the {b, c} square,
-(out, out, out) against x's 3-cube records. With theta's checks, which
-give simple connectivity and rule out induced K_2,3, ``enumerate_cubes``
-then accepts exactly the median graphs.
+(out, out, out) against x's 3-cube records, counting link triangles on
+per-class neighbour sets. With theta's checks, which give simple
+connectivity and rule out induced K_2,3, ``enumerate_cubes`` then
+accepts exactly the median graphs.
 """
 from __future__ import annotations
 
@@ -37,9 +40,6 @@ from typing import Optional
 
 from .graph import Graph
 from .theta import NonMedianGraphError, ThetaDecomposition
-
-# refuse vertices with more ingoing classes: each would emit 2^k records
-MAX_DIM = 20
 
 
 class CubeIndex:
@@ -89,8 +89,9 @@ def enumerate_cubes(g: Graph, theta: ThetaDecomposition) -> CubeIndex:
     class, in ascending class order; the walk reuses the record without
     the last class, so it takes one step. Each step must land one level
     closer to v0; a missing edge or a wrong level marks non-median input,
-    as does a link triangle of classes that spans no 3-cube. Of g only
-    the vertex count is read.
+    as does a link triangle of classes that spans no 3-cube. A pof equal
+    to a vertex's ``in_classes`` is stored as that tuple. Of g only the
+    vertex count is read.
     """
     n = g.n
     dist0 = theta.dist0
@@ -100,18 +101,13 @@ def enumerate_cubes(g: Graph, theta: ThetaDecomposition) -> CubeIndex:
     basis, pofs = index.basis, index.pof
     outgoing, ingoing = index.outgoing, index.ingoing
     dim = 0
+    shared = {p: p for p in theta.in_classes}
 
     # by level, ascending ids within a level (the sort is stable)
     index.order = sorted(range(n), key=dist0.__getitem__)
     for v in index.order:
         inc = theta.in_classes[v]
-        k = len(inc)
-        if k > MAX_DIM:
-            raise NonMedianGraphError(
-                f"vertex {v} has {k} ingoing classes, above the "
-                f"supported dimension {MAX_DIM}")
-        if k > dim:
-            dim = k
+        dim = max(dim, len(inc))
         start = len(pofs)
         bs, ps = [v], [()]
         outgoing[v].append(start)
@@ -131,7 +127,7 @@ def enumerate_cubes(g: Graph, theta: ThetaDecomposition) -> CubeIndex:
                         f"at vertex {x}, not |pof| levels down")
                 outgoing[x].append(start + len(bs))
                 bs.append(x)
-                ps.append(pof)
+                ps.append(shared.get(pof, pof))
         basis += bs
         pofs += ps
         ingoing[v] = range(start, len(pofs))
@@ -181,27 +177,25 @@ def _check_links(index: CubeIndex, theta: ThetaDecomposition) -> None:
                         raise _unfilled(x, a, b, c)
         if stop - first < 3:
             continue
-        bit = {pofs[out[i]][0]: 1 << i for i in range(1, first)}
-        nbr = dict.fromkeys(bit, 0)
+        # the out-out link at x, each edge kept at its lower class: a
+        # triangle b < c < e is counted once, at its edge (b, c)
+        up = {pofs[out[i]][0]: set() for i in range(1, first)}
         for j in range(first, stop):
             b, c = pofs[out[j]]
-            nbr[b] |= bit[c]
-            nbr[c] |= bit[b]
+            up[b].add(c)
         triangles = 0
         for j in range(first, stop):
             b, c = pofs[out[j]]
-            triangles += (nbr[b] & nbr[c]).bit_count()
+            triangles += len(up[b] & up[c])
         stop3 = stop
         while stop3 < end and len(pofs[out[stop3]]) == 3:
             stop3 += 1
-        # each triangle is counted once per edge
-        if triangles != 3 * (stop3 - stop):
+        if triangles != stop3 - stop:
             filled = {pofs[r] for r in out[stop:stop3]}
             for j in range(first, stop):
                 b, c = pofs[out[j]]
-                for e, m in bit.items():
-                    if e > c and nbr[b] & nbr[c] & m and \
-                            (b, c, e) not in filled:
+                for e in sorted(up[b] & up[c]):
+                    if (b, c, e) not in filled:
                         raise _unfilled(x, b, c, e)
 
 

@@ -13,12 +13,13 @@ give the same results and errors.
   It then checks ids, self-loops, duplicate edges (as sorted
   ``min*n + max`` keys) and connectivity (``min_labels``) on arrays.
 - ``compute_theta`` takes distances from v0, checks that no edge joins
-  equal levels, pairs the ingoing edges of each vertex and finds each
-  pair's common lower neighbours by ``searchsorted`` on the sorted
-  (head, tail) keys of the edges, relates the opposite sides of each
-  square, takes the classes as ``min_labels`` components ranked by their
-  smallest edge id, and checks the class counts and that every class is a
-  matching. The incidence indexes come from sorted arrays. It never reads
+  equal levels and no vertex has over ``theta.MAX_DIM`` ingoing edges,
+  pairs the ingoing edges of each vertex and finds each pair's common
+  lower neighbours by ``searchsorted`` on the sorted (head, tail) keys of
+  the edges, relates the opposite sides of each square, takes the classes
+  as ``min_labels`` components ranked by their smallest edge id, and
+  checks the class counts and that every class is a matching. The
+  incidence indexes come from sorted arrays. It never reads
   ``Graph.neighbors``.
 
 The cut weighs two measured costs (2-vCPU x86 host, CPython 3.11,
@@ -40,8 +41,8 @@ from typing import Optional
 
 import numpy as np
 
+from . import theta
 from .graph import Graph
-from .theta import ThetaDecomposition
 
 # Any character but a digit, blank or newline (``#`` and ``\r`` among
 # them) leaves a text to the line scanner.
@@ -102,7 +103,7 @@ def min_labels(count: int, a, b):
             label = up
 
 
-def compute_theta(g: Graph, v0: int) -> Optional[ThetaDecomposition]:
+def compute_theta(g: Graph, v0: int) -> Optional[theta.ThetaDecomposition]:
     """The theta decomposition of g from v0; None when a check fails."""
     n, m = g.n, g.m
     ends = np.fromiter(chain.from_iterable(g.edges), dtype=np.int64,
@@ -124,7 +125,7 @@ def compute_theta(g: Graph, v0: int) -> Optional[ThetaDecomposition]:
 
     around = zip(ids[np.repeat(cls, 2)[by_vertex]].tolist(), adj)
     ins = iter(ids[np.sort(head * q + cls) % max(q, 1)].tolist())
-    return ThetaDecomposition(
+    return theta.ThetaDecomposition(
         v0=v0,
         dist0=dist0,
         q=q,
@@ -162,13 +163,16 @@ def _classes(n: int, ends, dist):
         return None
     head = np.where(du < dv, v, u)
     tail = np.where(du < dv, u, v)
+    indegree = np.bincount(head, minlength=n)
+    if indegree.max() > theta.MAX_DIM:
+        return None
     # edge arc[i] is the i-th ingoing edge in (head, tail) order; the
     # ingoing edges of z sit at low[z]:low[z + 1]
     keys = head * n + tail
     arc = np.argsort(keys)
     keys, below = keys[arc], tail[arc]
     low = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(head, minlength=n), out=low[1:])
+    np.cumsum(indegree, out=low[1:])
 
     # every pair (i, j), i < j, of ingoing edges of one vertex z
     after = low[head[arc] + 1] - np.arange(m) - 1

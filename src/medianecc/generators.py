@@ -17,6 +17,8 @@ from .graph import Graph, bfs
 
 FIXTURE_NAMES = ("gstar", "hstar", "fig3", "cogwheel", "fig2c")
 
+MAX_PRODUCT_N = 2_000_000  # the most vertices cartesian_product builds
+
 _FIXTURES = {
     # square 0-1-3-2 with pendant 4 on vertex 3; 2-sweep from vertex 1
     # settles for 2 while the diameter is d(0, 4) = 3
@@ -86,12 +88,12 @@ def gen_hypercube(k: int) -> Graph:
     return Graph(n=n, edges=tuple(edges))
 
 
-def cartesian_product(g1: Graph, g2: Graph,
-                      max_n: int = 2_000_000) -> Graph:
+def cartesian_product(g1: Graph, g2: Graph) -> Graph:
     """Cartesian product; median when both factors are, dim adds up."""
     n = g1.n * g2.n
-    if n > max_n:
-        raise ValueError(f"product would have {n} vertices, above {max_n}")
+    if n > MAX_PRODUCT_N:
+        raise ValueError(
+            f"product would have {n} vertices, above {MAX_PRODUCT_N}")
     edges = []
     for a in range(g1.n):
         base = a * g2.n

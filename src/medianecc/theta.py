@@ -48,6 +48,8 @@ from dataclasses import dataclass
 
 from .graph import FLAT_MIN_EDGES, Graph, bfs
 
+MAX_DIM = 20  # most ingoing classes at a vertex (2^k records); Q20 fits
+
 
 class NonMedianGraphError(RuntimeError):
     """A structural invariant that holds on median graphs failed.
@@ -81,14 +83,17 @@ class ThetaDecomposition:
 def compute_theta(g: Graph, v0: int = 0) -> ThetaDecomposition:
     """Group edges into theta classes and index them around each vertex.
 
-    Squares are enumerated at their farthest-from-v0 corner: every pair of
-    ingoing edges there must close a 4-cycle through a unique common
-    neighbor two levels down. Missing or ambiguous completions, equal-level
-    edges, oversized class counts, and non-matching classes all raise
-    NonMedianGraphError. An ambiguous completion (two common lower
-    neighbors, an induced K_2,3) is counted only for its message: without
-    that count the matching or count checks refuse the input anyway, with
-    a message that names the fault less plainly.
+    Squares are enumerated at their farthest-from-v0 corner z: every pair
+    of ingoing edges z-a, z-b must close a 4-cycle through a unique common
+    neighbor of a and b two levels down, found among a's lower neighbors.
+    A vertex with more than ``MAX_DIM`` ingoing edges is refused before
+    any pair is searched, so no search grows with a degree. Missing or
+    ambiguous completions, equal-level edges, oversized class counts, and
+    non-matching classes also raise NonMedianGraphError. An ambiguous
+    completion (two common lower neighbors, an induced K_2,3) is counted
+    only for its message: without that count the matching or count checks
+    refuse the input anyway, with a message that names the fault less
+    plainly.
     """
     if not (0 <= v0 < g.n):
         raise ValueError(f"basepoint {v0} out of range 0..{g.n - 1}")
@@ -128,34 +133,35 @@ def _theta_scalar(g: Graph, v0: int) -> ThetaDecomposition:
             else:
                 parent[ra] = rb
 
+    # each vertex's lower neighbours and the edges to them, ascending
     neighbors = g.neighbors
-    for z in range(g.n):
-        dz = dist0[z]
-        inn = [(x, e) for x, e in neighbors[z].items() if dist0[x] < dz]
-        if len(inn) < 2:
-            continue
-        target = dz - 2
+    down = [[(x, e) for x, e in nz.items() if dist0[x] < dz]
+            for nz, dz in zip(neighbors, dist0)]
+    for z, inn in enumerate(down):
+        if len(inn) > MAX_DIM:
+            raise NonMedianGraphError(
+                f"vertex {z} has {len(inn)} ingoing classes, above the "
+                f"supported dimension {MAX_DIM}")
+    for z, inn in enumerate(down):
         for i in range(len(inn) - 1):
             a, ea = inn[i]
-            na = neighbors[a]
             for j in range(i + 1, len(inn)):
                 b, eb = inn[j]
                 nb = neighbors[b]
-                src, other = (na, nb) if len(na) <= len(nb) else (nb, na)
                 w = -1
-                for x in src:
-                    if dist0[x] == target and x in other:
+                for x, ex in down[a]:
+                    if x in nb:
                         if w >= 0:
                             raise NonMedianGraphError(
                                 f"vertices {a} and {b} have two common "
                                 f"neighbors below them (induced K_2,3)")
-                        w = x
+                        w, ew = x, ex
                 if w < 0:
                     raise NonMedianGraphError(
                         f"ingoing edges of vertex {z} through {a} and {b} "
                         f"close no square")
                 union(ea, nb[w])
-                union(eb, na[w])
+                union(eb, ew)
 
     # canonical class ids: ascending minimum edge id
     root_to_cls: dict = {}

@@ -563,6 +563,29 @@ def minus_vertex(g, x):
                                  for u, v in g.edges if x not in (u, v)])
 
 
+def bouquet(k):
+    """k squares glued at vertex 0: 0-a-c-b-0 on a, c, b = 3i+1, 3i+2,
+    3i+3. Median (planar, d = 2); vertex 0 has degree 2k."""
+    edges = []
+    for a in range(1, 3 * k + 1, 3):
+        edges += [(0, a), (a, a + 1), (a + 1, a + 2), (0, a + 2)]
+    return Graph(n=3 * k + 1, edges=tuple(edges))
+
+
+def cogwheel(k):
+    """k >= 4 squares around hub 0: a rim cycle 1..2k whose odd vertices
+    are joined to the hub. Median (planar, d = 2); the hub has degree k."""
+    rim = [(i, i % (2 * k) + 1) for i in range(1, 2 * k + 1)]
+    spokes = [(0, i) for i in range(1, 2 * k + 1, 2)]
+    return Graph(n=2 * k + 1, edges=tuple(spokes + rim))
+
+
+def k2m(m):
+    """K_2,m: vertices 0 and 1 each joined to vertices 2..m+1."""
+    return Graph(n=m + 2, edges=tuple((h, i) for i in range(2, m + 2)
+                                      for h in (0, 1)))
+
+
 def near_median_graphs(seed, count):
     """``count`` seeded draws of (name, graph, basepoint): a median graph
     of at most 64 vertices (Q3..Q5, grids, tree x tree, Q3 x tree or an

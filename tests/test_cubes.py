@@ -1,16 +1,19 @@
 from __future__ import annotations
 
+import tracemalloc
 from dataclasses import replace
 from types import SimpleNamespace
 
 import pytest
 
-from helpers import (anti_bases, is_pof, minus_vertex, ortho_pairs,
-                     record_id)
+from helpers import (anti_bases, bouquet, cogwheel, is_pof, minus_vertex,
+                     ortho_pairs, record_id)
 
 from medianecc import (NonMedianGraphError, bfs, build_graph, compute_theta,
                        enumerate_cubes, load_graph)
-from medianecc import cubes
+from medianecc import cubes, flat
+from medianecc import theta as theta_mod
+from medianecc.graph import FLAT_MIN_EDGES
 from medianecc.generators import fixture, gen_grid, gen_hypercube
 
 
@@ -207,13 +210,46 @@ def test_walk_refusal_on_an_upward_landing():
 
 
 def test_dimension_guard(monkeypatch):
-    g = gen_hypercube(4)
-    theta = compute_theta(g)
-    monkeypatch.setattr(cubes, "MAX_DIM", 3)
+    # theta refuses a vertex with more ingoing classes than MAX_DIM before
+    # the cube walk, on both paths; Q12 has 24,576 edges, so the flat path
+    # runs first and must read the bound at call time
+    monkeypatch.setattr(theta_mod, "MAX_DIM", 3)
     with pytest.raises(NonMedianGraphError,
-                       match="4 ingoing classes, above the supported "
-                             "dimension 3"):
-        enumerate_cubes(g, theta)
+                       match="^vertex 15 has 4 ingoing classes, above the "
+                             "supported dimension 3$"):
+        compute_theta(gen_hypercube(4))
+    q12 = gen_hypercube(12)
+    assert q12.m >= FLAT_MIN_EDGES
+    monkeypatch.setattr(theta_mod, "MAX_DIM", 11)
+    assert flat.compute_theta(q12, 0) is None
+    with pytest.raises(NonMedianGraphError,
+                       match="^vertex 4095 has 12 ingoing classes, above the "
+                             "supported dimension 11$"):
+        compute_theta(q12)
+
+
+def test_records_share_thetas_class_tuples(small_corpus):
+    # n distinct pofs, each some vertex's in_classes, held once each
+    for name, g in small_corpus:
+        _, index = _index_for(g)
+        assert len({id(p) for p in index.pof}) == g.n, name
+
+
+@pytest.mark.parametrize("make, small", [(bouquet, 2000), (cogwheel, 4000)])
+def test_link_pass_memory_grows_with_the_squares(make, small):
+    # vertex 0 has degree 2k in a bouquet and k in a cogwheel, and k
+    # squares; four times the squares may cost about four times the
+    # memory, not sixteen
+    peaks = []
+    for k in (small, 4 * small):
+        theta, index = _index_for(make(k))
+        tracemalloc.start()
+        try:
+            cubes._check_links(index, theta)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 6 * peaks[0], peaks
 
 
 def test_walk_reads_only_the_vertex_count(small_corpus):

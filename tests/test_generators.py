@@ -90,8 +90,10 @@ def test_product_eccentricities_add_up():
 
 
 def test_product_size_guard():
-    with pytest.raises(ValueError, match="above"):
-        cartesian_product(gen_grid(10, 10), gen_grid(10, 10), max_n=500)
+    # refused before any edge is built
+    with pytest.raises(ValueError, match="^product would have 2002000 "
+                                         "vertices, above 2000000$"):
+        cartesian_product(gen_tree(1001, 0), gen_tree(2000, 0))
 
 
 def test_expand_once_base_cases():

@@ -1,14 +1,17 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import pytest
 
 from helpers import (class_edges, djokovic_classes, halfspace_sides, is_pof,
-                     ortho_pairs, orthogonal, theta_partition)
+                     k2m, ortho_pairs, orthogonal, theta_partition)
 
 from medianecc import (NonMedianGraphError, build_graph, compute_theta,
                        enumerate_cubes)
 from medianecc import flat
 from medianecc.generators import fixture, gen_tree
+from medianecc.graph import FLAT_MIN_EDGES
 
 
 def test_square_has_two_classes_of_opposite_edges():
@@ -227,6 +230,28 @@ def test_two_common_lower_neighbors_refused_from_every_basepoint():
             compute_theta(g, v0)
     for v0 in range(g.n):
         assert flat.compute_theta(g, v0) is None
+
+
+def test_scalar_guard_refuses_a_hub_before_its_squares():
+    # vertex 1 has 600 ingoing edges; pairing them first would cost
+    # 180,000 square searches before the count identity refused the graph
+    g = k2m(600)
+    assert g.m < FLAT_MIN_EDGES
+    with pytest.raises(NonMedianGraphError,
+                       match="^vertex 1 has 600 ingoing classes, above the "
+                             "supported dimension 20$"):
+        compute_theta(g)
+
+
+def test_flat_guard_refuses_a_hub_before_pairing_its_edges():
+    # pairing the 1,000 ingoing edges of vertex 1 would take about 100 MB
+    tracemalloc.start()
+    try:
+        assert flat.compute_theta(k2m(1000), 0) is None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2**20, peak
 
 
 def test_six_cycle_raises():
