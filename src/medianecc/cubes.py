@@ -33,12 +33,16 @@ checked here: (in, out, out) against the anti-basis of the {b, c} square,
 per-class neighbour sets. With theta's checks, which give simple
 connectivity and rule out induced K_2,3, ``enumerate_cubes`` then
 accepts exactly the median graphs.
+
+Last, for graphs of ``graph.FLAT_MIN_EDGES`` edges or more,
+``flat_labels.records`` decides from the index whether the label stages
+run on numpy arrays, and ``CubeIndex.arrays`` holds its record arrays.
 """
 from __future__ import annotations
 
-from typing import Optional
+from operator import mul
 
-from .graph import Graph
+from .graph import FLAT_MIN_EDGES, Graph
 from .theta import NonMedianGraphError, ThetaDecomposition
 
 
@@ -47,12 +51,15 @@ class CubeIndex:
 
     ``outgoing[v]`` lists the record ids whose basis is v, ascending;
     ``ingoing[v]`` is the id range of the records whose anti-basis is v,
-    led by its empty pof, so ``basis[ingoing[v][0]] == v``. ``mu`` starts
-    as each record's basis (phi 0, reached at distance 0).
+    led by its empty pof, so ``basis[ingoing[v][0]] == v``. The labels
+    ``phi``, ``mu``, ``opp``, ``psi`` and ``psi_witness`` are None until
+    the stage that fills them allocates them: lists, or ``array('i')``
+    buffers where ``arrays`` holds the record arrays of
+    ``medianecc.flat_labels``.
     """
 
     __slots__ = ("n", "dimension", "order", "basis", "pof", "phi", "mu", "psi",
-                 "psi_witness", "outgoing", "ingoing", "opp")
+                 "psi_witness", "outgoing", "ingoing", "opp", "arrays")
 
     def __init__(self, n: int):
         self.n = n
@@ -60,13 +67,11 @@ class CubeIndex:
         self.order: list = []
         self.basis: list = []
         self.pof: list = []
-        self.phi: list = []
-        self.mu: list = []
-        self.psi: list = []
-        self.psi_witness: list = []
+        self.phi = self.mu = self.opp = None
+        self.psi = self.psi_witness = None
         self.outgoing: list = [[] for _ in range(n)]
         self.ingoing: list = [range(0)] * n
-        self.opp: Optional[list] = None
+        self.arrays = None
 
     def __len__(self) -> int:
         return len(self.pof)
@@ -91,7 +96,9 @@ def enumerate_cubes(g: Graph, theta: ThetaDecomposition) -> CubeIndex:
     closer to v0; a missing edge or a wrong level marks non-median input,
     as does a link triangle of classes that spans no 3-cube. A pof equal
     to a vertex's ``in_classes`` is stored as that tuple. Of g only the
-    vertex count is read.
+    vertex count is read. From ``FLAT_MIN_EDGES`` edges, where theta has
+    loaded numpy, ``flat_labels.records`` decides whether the label stages
+    run on arrays.
     """
     n = g.n
     dist0 = theta.dist0
@@ -133,13 +140,21 @@ def enumerate_cubes(g: Graph, theta: ThetaDecomposition) -> CubeIndex:
         ingoing[v] = range(start, len(pofs))
 
     _check_links(index, theta)
-    R = len(pofs)
-    index.phi = [0] * R
-    index.mu = basis[:]
-    index.psi = [-1] * R
-    index.psi_witness = [-1] * R
     index.dimension = dim
+    if len(theta.edge_class) >= FLAT_MIN_EDGES:
+        from . import flat_labels
+        index.arrays = flat_labels.records(index, theta)
     return index
+
+
+def sweep_pairs(index: CubeIndex) -> int:
+    """The record pairs the phi and psi sweeps test: at each vertex b,
+    every nonempty ingoing record with every nonempty outgoing one. Each
+    record is ingoing at one vertex and outgoing at one, so the sum of
+    (|out(b)| - 1)(|in(b)| - 1) is that of |out(b)||in(b)|, less 2R, plus
+    n."""
+    return sum(map(mul, map(len, index.outgoing), map(len, index.ingoing))) \
+        - 2 * len(index) + index.n
 
 
 def _check_links(index: CubeIndex, theta: ThetaDecomposition) -> None:

@@ -11,7 +11,8 @@ The sweep visits vertices from the nearest level to the farthest and pairs
 each outgoing record with the ingoing records of its basis that its pof
 does not block; ties go to the opposite's phi, then to the smallest
 ingoing record id. A heavy vertex (the phi sweep's test) answers them by
-one subset-max transform keyed so that the same ties win.
+one subset-max transform keyed so that the same ties win. An index with
+record arrays runs both steps in ``medianecc.flat_labels``.
 """
 from __future__ import annotations
 
@@ -37,7 +38,8 @@ class EccReport:
 
 
 def compute_psi(index: CubeIndex, theta: ThetaDecomposition) -> None:
-    """Fill psi / psi_witness for every nonempty-pof record, in place.
+    """Allocate psi / psi_witness and fill them for every nonempty-pof
+    record (an empty pof keeps -1, -1).
 
     Vertices are visited by level from v0, so the labels ingoing at a
     vertex u- are final when its outgoing records (classes X) are
@@ -52,16 +54,21 @@ def compute_psi(index: CubeIndex, theta: ThetaDecomposition) -> None:
 
     A heavy vertex keys ingoing record t as psi(t) * R + (R - 1 - t).
 
-    Requires compute_phi and compute_opposites.
+    Requires compute_phi and compute_opposites. An index with record
+    arrays takes ``flat_labels.compute_psi``.
     """
     if index.opp is None:
         raise RuntimeError("compute_opposites must run before compute_psi")
+    if index.arrays is not None:
+        from . import flat_labels
+        return flat_labels.compute_psi(index)
     incident, in_classes = theta.incident, theta.in_classes
     pofs, phi, mu = index.pof, index.phi, index.mu
-    psi, psiw = index.psi, index.psi_witness
     basis, ingoing, outgoing = index.basis, index.ingoing, index.outgoing
     opp = index.opp
     R = len(pofs)
+    index.psi = psi = [-1] * R
+    index.psi_witness = psiw = [-1] * R
 
     for b in index.order:  # by level, nearest first
         outs = outgoing[b]
@@ -111,8 +118,14 @@ def eccentricities(index: CubeIndex) -> EccReport:
     """Assemble every vertex's eccentricity from the computed labels.
 
     The witness is the smallest vertex id among the records attaining the
-    maximum.
+    maximum. Requires compute_psi. An index with record arrays takes
+    ``flat_labels.eccentricities``.
     """
+    if index.psi is None:
+        raise RuntimeError("compute_psi must run before eccentricities")
+    if index.arrays is not None:
+        from . import flat_labels
+        return flat_labels.eccentricities(index)
     phi, mu = index.phi, index.mu
     psi, psiw = index.psi, index.psi_witness
     outgoing, ingoing = index.outgoing, index.ingoing

@@ -5,7 +5,8 @@ the same names here for inputs of ``graph.FLAT_MIN_EDGES`` edges or more,
 and only then import this module and numpy. Each returns what the caller
 returns, or None where a check fails; the caller then runs its scalar
 code, which raises the error and message it always has. So both paths
-give the same results and errors.
+give the same results and errors. The label stages after the cube
+enumeration have their own array path, ``medianecc.flat_labels``.
 
 - ``load_graph`` parses a plain text (decimal digits, blanks and
   newlines, as ``save_graph`` writes) in one ``np.loadtxt`` call; any

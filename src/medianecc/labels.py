@@ -15,6 +15,10 @@ nonempty records than ``_transform_cost(k, #in)``) with dense pofs
 (``local_masks``), one subset-max transform over b's local class bits
 replaces that pair loop: every pof inside the complement of t's blocked
 mask is unblocked, so one table read answers t.
+
+An index whose ``arrays`` slot is set (large inputs with wide levels and
+few pairs, see ``medianecc.flat_labels``) is swept on numpy arrays
+instead, with the same labels and ties.
 """
 from __future__ import annotations
 
@@ -56,14 +60,20 @@ def local_masks(index: CubeIndex, incident: list, outs: list, ins: list):
 
 
 def compute_phi(index: CubeIndex, theta: ThetaDecomposition) -> None:
-    """Fill phi/mu for every record, in place. At each vertex b the empty
-    outgoing pof (phi 0, witness b) lets an ingoing record with no
+    """Allocate and fill phi/mu for every record. At each vertex b the
+    empty outgoing pof (phi 0, witness b) lets an ingoing record with no
     unblocked pof reach b itself, at distance |X|; a heavy vertex keys its
-    outgoing record r as phi(r) * R + r over R records."""
+    outgoing record r as phi(r) * R + r over R records. An index with
+    record arrays takes ``flat_labels.compute_phi``."""
+    if index.arrays is not None:
+        from . import flat_labels
+        return flat_labels.compute_phi(index)
     incident, in_classes = theta.incident, theta.in_classes
-    pofs, phi, mu = index.pof, index.phi, index.mu
-    basis, ingoing, outgoing = index.basis, index.ingoing, index.outgoing
+    pofs, basis = index.pof, index.basis
+    ingoing, outgoing = index.ingoing, index.outgoing
     R = len(pofs)
+    index.phi = phi = [0] * R
+    index.mu = mu = basis[:]
 
     for b in reversed(index.order):  # by level, farthest first
         ins = ingoing[b]

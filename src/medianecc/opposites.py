@@ -18,7 +18,9 @@ by k, the number of classes that occur in m's pofs:
   opposite tree.
 
 A vertex with the empty pof alone is its own opposite; with one outgoing
-edge as well, the two are each other's opposite.
+edge as well, the two are each other's opposite. ``medianecc.flat_labels``
+answers the dense vertices of an index with record arrays by the same
+transform on numpy tables, and keeps the memo table for the others.
 """
 from __future__ import annotations
 
@@ -118,8 +120,14 @@ def compute_opposites(index: CubeIndex) -> None:
     """Resolve the opposite record of every record at its own basis vertex.
 
     Stored in ``index.opp``; the per-vertex tables are transient, the
-    record ids are what the later passes need.
+    record ids are what the later passes need. Requires compute_phi. An
+    index with record arrays takes ``flat_labels.compute_opposites``.
     """
+    if index.phi is None:
+        raise RuntimeError("compute_phi must run before compute_opposites")
+    if index.arrays is not None:
+        from . import flat_labels
+        return flat_labels.compute_opposites(index)
     pofs, phi = index.pof, index.phi
     opp = [0] * len(index)
     for rids in index.outgoing:

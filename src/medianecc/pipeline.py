@@ -1,10 +1,14 @@
-"""End-to-end driver: theta -> cubes -> phi -> opposites -> psi -> ecc."""
+"""End-to-end driver: theta -> cubes -> phi -> opposites -> psi -> ecc.
+
+``PipelineResult.counters`` says what a run did: its records, levels,
+sweep pairs and which label sweeps ran, "array" or "scalar".
+"""
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
 
-from .cubes import CubeIndex, enumerate_cubes
+from .cubes import CubeIndex, enumerate_cubes, sweep_pairs
 from .eccentricity import EccReport, compute_psi, eccentricities
 from .graph import Graph
 from .labels import compute_phi
@@ -22,6 +26,16 @@ class PipelineResult:
     @property
     def total_time(self) -> float:
         return sum(self.timings.values())
+
+    @property
+    def counters(self) -> dict:
+        """What the run did: ``records``, ``levels`` from v0, the sweep
+        ``pairs`` (``cubes.sweep_pairs``) and which ``sweeps`` ran, "array"
+        (``medianecc.flat_labels``) or "scalar"."""
+        return {"records": len(self.index),
+                "levels": max(self.theta.dist0) + 1,
+                "pairs": sweep_pairs(self.index),
+                "sweeps": "scalar" if self.index.arrays is None else "array"}
 
 
 def run_pipeline(g: Graph, v0: int = 0) -> PipelineResult:
