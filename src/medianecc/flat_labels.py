@@ -170,12 +170,13 @@ def build(index: CubeIndex, theta: ThetaDecomposition) -> Records:
         lo += len(pt)
         done += m
     del ok, anti, t_all, per_t
+    # the pair slices of each group, and of each level: its groups
     at = np.concatenate(([0], np.cumsum(kept, dtype=np.int64)))[cut].tolist()
     a.groups = [(lo, hi) for lo, hi in zip(at, at[1:]) if lo < hi]
-    first = [g for g in range(len(glevel) + 1)
-             if g in (0, len(glevel)) or glevel[g] != glevel[g - 1]]
-    a.levels = [(at[g], at[h]) for g, h in zip(first, first[1:])
-                if at[g] < at[h]]
+    new = [g for g, level in enumerate(glevel)
+           if g == 0 or level != glevel[g - 1]]
+    new.append(len(glevel))
+    a.levels = [(at[g], at[h]) for g, h in zip(new, new[1:]) if at[g] < at[h]]
     return a
 
 
@@ -226,8 +227,10 @@ def _faces(a: Records, ins: _Ins, basis, anti, local):
     fptr = np.cumsum(size, dtype=np.int64 if total >> 31 else np.int32)
     fptr -= size
     face = np.empty(total, np.int32)
+    ones = np.flatnonzero(size == 1)
+    face[fptr[ones]] = ones  # a 1-cube is its own face
     for lo in range(0, len(size), _CHUNK):
-        part = local[lo:lo + _CHUNK]
+        part = np.where(size[lo:lo + _CHUNK] > 1, local[lo:lo + _CHUNK], 0)
         done = np.zeros(len(part), np.int8)
         for h in range(ins.kmax):
             rec = np.flatnonzero(part & (1 << h))
