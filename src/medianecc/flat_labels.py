@@ -54,7 +54,7 @@ import numpy as np
 from .cubes import CubeIndex, sweep_pairs
 from .eccentricity import EccReport
 from .opposites import opposite_records
-from .theta import ThetaDecomposition
+from .theta import MAX_DIM, ThetaDecomposition
 
 MIN_WIDTH = 8
 PAIRS_PER_RECORD = 4
@@ -125,13 +125,13 @@ def build(index: CubeIndex, theta: ThetaDecomposition) -> Records:
     # (level, local mask, vertex); a group is one (level, local mask)
     per_b = np.diff(a.out_ptr) - 1
     t_all = np.flatnonzero((size > 0) & (per_b[anti] > 0))
-    key = np.fromiter(theta.dist0, np.int64, n)[anti[t_all]] << 20
+    key = np.fromiter(theta.dist0, np.int64, n)[anti[t_all]] << MAX_DIM
     key |= local[t_all]
     by = np.argsort(key, kind="stable")
     t_all, key = t_all[by].astype(np.int32), key[by]
     del by
     cut = np.flatnonzero(np.diff(key, prepend=-1, append=-1))
-    glevel = (key[cut[:-1]] >> 20).tolist()
+    glevel = (key[cut[:-1]] >> MAX_DIM).tolist()
     del key
     per_t = per_b[anti[t_all]]
 
@@ -209,7 +209,7 @@ class _Ins:
 
     def slot(self, y, c):
         """The position of class c[i] among vertex y[i]'s ingoing classes,
-        by counting the smaller ones: at most ``theta.MAX_DIM`` passes."""
+        by counting the smaller ones: at most ``MAX_DIM`` passes."""
         slot = np.zeros(len(y), np.int32)
         live = np.arange(len(y))
         base, k = self.ptr[y], self.kin[y]

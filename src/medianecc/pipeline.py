@@ -1,8 +1,4 @@
-"""End-to-end driver: theta -> cubes -> phi -> opposites -> psi -> ecc.
-
-``PipelineResult.counters`` says what a run did: its records, levels,
-sweep pairs and which label sweeps ran, "array" or "scalar".
-"""
+"""End-to-end driver: theta -> cubes -> phi -> opposites -> psi -> ecc."""
 from __future__ import annotations
 
 import time
