@@ -12,15 +12,17 @@ filled by later passes. The records of anti-basis v are the contiguous ids
 ``ingoing[v]``, one per mask M over v's ingoing classes ``in_classes[v]``,
 and record ``ingoing[v][M]`` has the classes of M's bits as its pof.
 Recurrence: with h the top bit of M, the basis of record M is one edge of
-class ``in_classes[v][h]`` away from the basis of record ``M ^ 1<<h``, and
-its pof is that record's pof plus that class, so each record costs one edge
-step and one level check. On median input each of the n distinct pofs is
-some vertex's ``in_classes``, and the records share those tuples. The
-label sweeps rely on this layout: anti-bases come in ``order`` (by
-distance from v0, ascending ids within a level), and ``outgoing[b]`` is
-b's empty pof, then one 1-cube record per upward edge, then larger pofs
-by size. Every cube with basis b is spanned by b's upward edges, so b's
-local class count k is its out-degree.
+class ``in_classes[v][h]`` away from the basis of record ``M ^ 1<<h``, so
+each record costs one edge step and one level check. On median input each
+of the n distinct pofs is some vertex's ``in_classes``, and the records
+share those tuples. The label sweeps rely on this layout: anti-bases come
+in ``order`` (by distance from v0, ascending ids within a level), and
+``outgoing[b]`` is b's empty pof, then one 1-cube record per upward edge,
+then larger pofs by size. Every cube with basis b is spanned by b's upward
+edges, so b's local class count k is its out-degree. From
+``graph.FLAT_MIN_EDGES`` edges the walk takes one numpy round per bit h
+and fills arrays (``flat_labels.Records``); the lists are views built from
+them on first read, or replace them where the label sweeps stay scalar.
 
 Link pass: after the walk, each vertex x's outgoing 2- and 3-cube records
 are checked against the 3-cube condition (see ``theta``): three classes
@@ -30,20 +32,25 @@ walk from x; (in, in, out) with out class c is the walk from x+c, into
 which the two mixed squares put both in-classes. The other two kinds are
 checked here: (in, out, out) against the anti-basis of the {b, c} square,
 (out, out, out) against x's 3-cube records, counting link triangles on
-per-class neighbour sets. With theta's checks, which give simple
-connectivity and rule out induced K_2,3, ``enumerate_cubes`` then
-accepts exactly the median graphs.
+per-class neighbour sets, or on the arrays, of sorted 2-cube keys. With
+theta's checks, which give simple connectivity and rule out induced
+K_2,3, ``enumerate_cubes`` then accepts exactly the median graphs.
 
-Last, for graphs of ``graph.FLAT_MIN_EDGES`` edges or more,
-``flat_labels.records`` decides from the index whether the label stages
-run on numpy arrays, and ``CubeIndex.arrays`` holds its record arrays.
+Last, on arrays, ``flat_labels``' rule decides whether the label stages
+run on them too, and ``CubeIndex.arrays`` then holds the record arrays.
 """
 from __future__ import annotations
 
+from functools import cached_property
 from operator import mul
 
-from .graph import FLAT_MIN_EDGES, Graph
+from .graph import Graph
 from .theta import NonMedianGraphError, ThetaDecomposition
+
+# Most records one run may allocate: Q13's 1,594,323 records peak at 205 MB
+# resident, about 128 bytes each (scalar sweeps; 2-vCPU x86 host, CPython
+# 3.11, numpy 2.4), so 512 MiB allows 2^22: Q13 fits, Q14 (4,782,969) not.
+MAX_RECORDS = (512 << 20) // 128
 
 
 class CubeIndex:
@@ -56,25 +63,23 @@ class CubeIndex:
     the stage that fills them allocates them: lists, or ``array('i')``
     buffers where ``arrays`` holds the record arrays of
     ``medianecc.flat_labels``.
-    """
 
-    __slots__ = ("n", "dimension", "order", "basis", "pof", "phi", "mu", "psi",
-                 "psi_witness", "outgoing", "ingoing", "opp", "arrays")
+    Above the cut, where the label stages run on arrays, ``records`` and
+    ``arrays`` hold ``flat_labels.Records``; the lists are views of it.
+    """
 
     def __init__(self, n: int):
         self.n = n
         self.dimension = 0
-        self.order: list = []
-        self.basis: list = []
-        self.pof: list = []
-        self.phi = self.mu = self.opp = None
-        self.psi = self.psi_witness = None
-        self.outgoing: list = [[] for _ in range(n)]
-        self.ingoing: list = [range(0)] * n
-        self.arrays = None
+        self.phi = self.mu = self.opp = self.psi = self.psi_witness = None
+        self.arrays = self.records = None
 
     def __len__(self) -> int:
-        return len(self.pof)
+        return len(self.basis if self.records is None else self.records.basis)
+
+    order, basis, pof, outgoing, ingoing = (
+        cached_property(lambda self, name=name: self.records.tolist(name))
+        for name in ("order", "basis", "pof", "outgoing", "ingoing"))
 
     def distinct_pofs(self) -> set:
         return set(self.pof)
@@ -96,19 +101,45 @@ def enumerate_cubes(g: Graph, theta: ThetaDecomposition) -> CubeIndex:
     closer to v0; a missing edge or a wrong level marks non-median input,
     as does a link triangle of classes that spans no 3-cube. A pof equal
     to a vertex's ``in_classes`` is stored as that tuple. Of g only the
-    vertex count is read. From ``FLAT_MIN_EDGES`` edges, where theta has
-    loaded numpy, ``flat_labels.records`` decides whether the label stages
-    run on arrays.
+    vertex count is read. An input whose record count, known from theta,
+    exceeds ``MAX_RECORDS`` raises MemoryError before any record exists.
+    A theta with arrays is walked and link-checked on them by
+    ``flat_labels``; where either refuses, the code here raises its error.
     """
     n = g.n
+    arrays = theta.arrays
+    total = (int((1 << arrays.kin).sum()) if arrays is not None else
+             sum(1 << len(inc) for inc in theta.in_classes))
+    if total > MAX_RECORDS:
+        raise MemoryError(
+            f"the cube walk would emit {total:,} records, above the "
+            f"budget of {MAX_RECORDS:,}")
+    index = CubeIndex(n)
+    if arrays is not None:
+        from . import flat_labels
+        records = flat_labels.walk(theta)
+        if records is not None and flat_labels.links(records):
+            index.records = records
+            index.dimension = int(arrays.kin.max(initial=0))
+            # wide levels and few sweep pairs: label stages on arrays too
+            if n >= flat_labels.MIN_WIDTH * (int(arrays.level.max()) + 1) \
+                    and sweep_pairs(index) <= flat_labels.PAIRS_PER_RECORD * \
+                    len(index):
+                index.arrays = flat_labels.build(records)
+            else:  # the scalar sweeps read the lists: keep those alone
+                vars(index).update((name, records.tolist(name)) for name in (
+                    "order", "basis", "pof", "outgoing", "ingoing"))
+                index.records = None
+            return index
+
     dist0 = theta.dist0
     incident = theta.incident
-
-    index = CubeIndex(n)
-    basis, pofs = index.basis, index.pof
-    outgoing, ingoing = index.outgoing, index.ingoing
-    dim = 0
     shared = {p: p for p in theta.in_classes}
+    index.basis = basis = []
+    index.pof = pofs = []
+    index.outgoing = outgoing = [[] for _ in range(n)]
+    index.ingoing = ingoing = [range(0)] * n
+    dim = 0
 
     # by level, ascending ids within a level (the sort is stable)
     index.order = sorted(range(n), key=dist0.__getitem__)
@@ -141,9 +172,6 @@ def enumerate_cubes(g: Graph, theta: ThetaDecomposition) -> CubeIndex:
 
     _check_links(index, theta)
     index.dimension = dim
-    if len(theta.edge_class) >= FLAT_MIN_EDGES:
-        from . import flat_labels
-        index.arrays = flat_labels.records(index, theta)
     return index
 
 
@@ -152,9 +180,13 @@ def sweep_pairs(index: CubeIndex) -> int:
     every nonempty ingoing record with every nonempty outgoing one. Each
     record is ingoing at one vertex and outgoing at one, so the sum of
     (|out(b)| - 1)(|in(b)| - 1) is that of |out(b)||in(b)|, less 2R, plus
-    n."""
-    return sum(map(mul, map(len, index.outgoing), map(len, index.ingoing))) \
-        - 2 * len(index) + index.n
+    n. |out(b)| and |in(b)| = 2^kin(b) are read from ``records`` where the
+    index has them."""
+    a = index.records
+    pairs = sum(map(mul, map(len, index.outgoing), map(len, index.ingoing))) \
+        if a is None else int(((a.out_ptr[1:] - a.out_ptr[:-1]).astype(
+            "int64") << a.theta.arrays.kin).sum())
+    return pairs - 2 * len(index) + index.n
 
 
 def _check_links(index: CubeIndex, theta: ThetaDecomposition) -> None:

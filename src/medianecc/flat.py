@@ -19,9 +19,10 @@ enumeration have their own array path, ``medianecc.flat_labels``.
   lower neighbours by ``searchsorted`` on the sorted (head, tail) keys of
   the edges, relates the opposite sides of each square, takes the classes
   as ``min_labels`` components ranked by their smallest edge id, and
-  checks the class counts and that every class is a matching. The
-  incidence indexes come from sorted arrays. It never reads
-  ``Graph.neighbors``.
+  checks the class counts and that every class is a matching. It never
+  reads ``Graph.neighbors``. It keeps its arrays (``ThetaArrays``), which
+  the cube walk reads; theta's ``edge_class``, ``incident`` and
+  ``in_classes`` are built from them only on first read.
 
 The cut weighs two measured costs (2-vCPU x86 host, CPython 3.11,
 numpy 2.4). Per call, with numpy loaded, the flat path is faster from the
@@ -37,13 +38,19 @@ from __future__ import annotations
 
 import io
 import re
-from itertools import chain, islice
+from itertools import chain, islice, repeat
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
 
 from . import theta
 from .graph import Graph
+
+# Square candidates per step of ``compute_theta``, and sweep pairs and dense
+# opposite table entries per step of ``medianecc.flat_labels``: bounds
+# their transient arrays
+_CHUNK = 1 << 15
 
 # Any character but a digit, blank or newline (``#`` and ``\r`` among
 # them) leaves a text to the line scanner.
@@ -89,7 +96,7 @@ def min_labels(count: int, a, b):
     item at its root. A root only ever moves lower, so the final root of a
     component is its smallest item.
     """
-    label = np.arange(count)
+    label = np.arange(count, dtype=np.int32)
     while True:
         la, lb = label[a], label[b]
         split = la != lb
@@ -104,37 +111,64 @@ def min_labels(count: int, a, b):
             label = up
 
 
+class ThetaArrays:
+    """What flat theta keeps, int32 arrays: ``level`` (``dist0``), the
+    edge ends ``ends`` (``u0 v0 u1 v1 ...``) and classes ``cls``, and the
+    ``kin[v]`` ingoing edges of each vertex v, their classes ascending at
+    ``in_ptr[v]:in_ptr[v + 1]`` of ``in_cls`` and their lower ends in
+    ``in_tail``. Lists built from them share the ints of ``ids``, one
+    object per id, as the scalar path's lists share theirs."""
+
+    @cached_property
+    def ids(self):
+        return np.array(range(len(self.level)), dtype=object)
+
+    def edge_class(self) -> list:
+        return self.ids[self.cls].tolist()
+
+    def incident(self) -> tuple:
+        """Each vertex's class -> neighbour map, in edge order."""
+        ends, ids = self.ends, self.ids
+        by_vertex = np.argsort(ends, kind="stable")  # edge order
+        around = zip(ids[np.repeat(self.cls, 2)[by_vertex]].tolist(),
+                     ids[ends[by_vertex ^ 1]].tolist())
+        return tuple(map(dict, map(islice, repeat(around), np.bincount(
+            ends, minlength=len(ids)).tolist())))
+
+    def in_classes(self) -> tuple:
+        ins = iter(self.ids[self.in_cls].tolist())
+        return tuple(map(tuple, map(islice, repeat(ins), self.kin.tolist())))
+
+
 def compute_theta(g: Graph, v0: int) -> Optional[theta.ThetaDecomposition]:
-    """The theta decomposition of g from v0; None when a check fails."""
+    """The theta decomposition of g from v0, with its ``ThetaArrays``;
+    None when a check fails."""
     n, m = g.n, g.m
     ends = np.fromiter(chain.from_iterable(g.edges), dtype=np.int64,
                        count=2 * m)
-    # ends[by_vertex] lists each vertex's edges in edge order (the keys
-    # are distinct, so the fast sort keeps that order); the other end of
-    # entry i is ends[i ^ 1]
-    by_vertex = np.argsort(ends * (2 * m) + np.arange(2 * m))
-    degree = np.bincount(ends, minlength=n)
-    # the lists below take their ints from one object per id, as the
-    # scalar path's lists do, not from a fresh object per entry
-    ids = np.array(range(n), dtype=object)
-    adj = ids[ends[by_vertex ^ 1]].tolist()
-    dist0 = _levels(v0, adj, [0, *np.cumsum(degree).tolist()])
-    found = _classes(n, ends, np.array(dist0))
-    if found is None:
+    # each vertex's neighbours in edge order (the keys are distinct, so
+    # the fast sort keeps it); the other end of end i is ends[i ^ 1]
+    adj = np.array(range(n), dtype=object)[ends[np.argsort(
+        ends * (2 * m) + np.arange(2 * m)) ^ 1]].tolist()
+    dist0 = _levels(v0, adj, [0, *np.cumsum(np.bincount(
+        ends, minlength=n)).tolist()])
+    del adj
+    t = _classes(n, ends, np.array(dist0))
+    if t is None:
         return None
-    cls, q, head = found
+    return theta.ThetaDecomposition(v0=v0, dist0=dist0, q=t.q, arrays=t)
 
-    around = zip(ids[np.repeat(cls, 2)[by_vertex]].tolist(), adj)
-    ins = iter(ids[np.sort(head * q + cls) % max(q, 1)].tolist())
-    return theta.ThetaDecomposition(
-        v0=v0,
-        dist0=dist0,
-        q=q,
-        edge_class=ids[cls].tolist(),
-        incident=tuple(dict(islice(around, k)) for k in degree.tolist()),
-        in_classes=tuple(tuple(islice(ins, k)) for k in
-                         np.bincount(head, minlength=n).tolist()),
-    )
+
+def _chunks(weights):
+    """Consecutive slices of the positions of ``weights``, each of total
+    weight about ``_CHUNK`` and at least one position."""
+    ends = np.cumsum(weights)
+    lo = 0
+    while lo < len(ends):
+        done = int(ends[lo - 1]) if lo else 0
+        hi = max(lo + 1, int(np.searchsorted(ends, done + _CHUNK, "right")))
+        yield slice(lo, hi)
+        lo = hi
 
 
 def _levels(v0: int, adj: list, start: list) -> list:
@@ -153,10 +187,10 @@ def _levels(v0: int, adj: list, start: list) -> list:
     return dist
 
 
-def _classes(n: int, ends, dist):
-    """Class of every edge (ranked by smallest edge id), the class count
-    and every edge's farther end, from the edge ends ``u0 v0 u1 v1 ...``
-    and the distances; None when a check of compute_theta fails."""
+def _classes(n: int, ends, dist) -> Optional[ThetaArrays]:
+    """The classes of the edges (ranked by smallest edge id) and the
+    ingoing keys, from the edge ends and the distances; None when a check
+    of compute_theta fails."""
     m = len(ends) // 2
     u, v = ends[0::2], ends[1::2]
     du, dv = dist[u], dist[v]
@@ -170,7 +204,7 @@ def _classes(n: int, ends, dist):
     # edge arc[i] is the i-th ingoing edge in (head, tail) order; the
     # ingoing edges of z sit at low[z]:low[z + 1]
     keys = head * n + tail
-    arc = np.argsort(keys)
+    arc = np.argsort(keys).astype(np.int32)
     keys, below = keys[arc], tail[arc]
     low = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(indegree, out=low[1:])
@@ -179,23 +213,28 @@ def _classes(n: int, ends, dist):
     after = low[head[arc] + 1] - np.arange(m) - 1
     i = np.repeat(np.arange(m), after)
     j = i + 1 + np.arange(len(i)) - np.repeat(np.cumsum(after) - after, after)
+    # the square z-a-w-b of each pair: each lower neighbour w of a, and
+    # whether w is one of b too, a chunk of pairs at a time
     a, b = below[i], below[j]
-    # each lower neighbour w of a, and whether w is one of b too
     fan = low[a + 1] - low[a]
-    pair = np.repeat(np.arange(len(i)), fan)
-    aw = (np.arange(len(pair))
-          + np.repeat(low[a] - np.cumsum(fan) + fan, fan))
-    want = b[pair] * n + below[aw]
-    bw = np.minimum(np.searchsorted(keys, want), max(m - 1, 0))
-    hit = keys[bw] == want
-    # every pair must close exactly one square; a pair that closes two (an
-    # induced K_2,3) would fail the matching or count checks below anyway,
-    # and is refused here so that the scalar code's message names it
-    if (np.bincount(pair[hit], minlength=len(i)) != 1).any():
-        return None
+    aw, bw = np.empty_like(i), np.empty_like(i)
+    for part in _chunks(fan):
+        f = fan[part]
+        pair = np.repeat(np.arange(len(f)), f)
+        at = np.arange(len(pair)) + np.repeat(low[a[part]] - np.cumsum(f) + f,
+                                              f)
+        want = b[part][pair] * n + below[at]
+        found = np.minimum(np.searchsorted(keys, want), max(m - 1, 0))
+        hit = keys[found] == want
+        # every pair must close exactly one square; one that closes two (an
+        # induced K_2,3) would fail the matching or count checks below, and
+        # is refused here so that the scalar code's message names it
+        if (np.bincount(pair[hit], minlength=len(f)) != 1).any():
+            return None
+        aw[part], bw[part] = at[hit], found[hit]
     # opposite sides of square z-a-w-b: za ~ bw and zb ~ aw
     root = min_labels(m, np.concatenate((arc[i], arc[j])),
-                      np.concatenate((arc[bw[hit]], arc[aw[hit]])))
+                      np.concatenate((arc[bw], arc[aw])))
 
     # a class's root is its smallest edge id; rank the roots
     is_root = root == np.arange(m)
@@ -206,4 +245,10 @@ def _classes(n: int, ends, dist):
     seen = np.sort(ends * q + np.repeat(cls, 2))
     if (seen[1:] == seen[:-1]).any():
         return None  # a class with two edges at one vertex
-    return cls, q, head
+    t = ThetaArrays()
+    by = np.argsort(head * q + cls)
+    t.q = q
+    t.level, t.ends, t.cls, t.kin, t.in_ptr, t.in_cls, t.in_tail = (
+        a.astype(np.int32) for a in (dist, ends, cls, indegree, low, cls[by],
+                                     tail[by]))
+    return t

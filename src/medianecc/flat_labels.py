@@ -1,16 +1,18 @@
-"""phi, opposites, psi and the eccentricity assembly on numpy arrays, for
-large inputs with wide levels and few light pairs.
+"""The cube records of large inputs on numpy arrays, and phi, opposites,
+psi and the eccentricity assembly on them for wide levels and few pairs.
 
-``cubes.enumerate_cubes`` calls ``records`` for graphs of
-``graph.FLAT_MIN_EDGES`` edges or more, where ``medianecc.flat`` has
-already loaded numpy, and stores what it returns in ``CubeIndex.arrays``.
+``cubes.enumerate_cubes`` walks a theta with arrays (from
+``graph.FLAT_MIN_EDGES`` edges, where ``medianecc.flat`` has loaded numpy)
+by ``walk`` and ``links`` into a ``Records`` store; where the rule below
+holds, ``build`` completes it and ``CubeIndex.arrays`` holds it, and
 ``compute_phi``, ``compute_opposites``, ``compute_psi`` and
-``eccentricities`` run the functions of the same names here when that slot
-is set. They give the scalar code's labels, witnesses and tie-breaks; the
-labels are ``array('i')`` buffers that numpy fills through
-``np.frombuffer`` and that index as plain ints.
+``eccentricities`` run the functions of the same names here. They give the
+scalar code's labels, witnesses and tie-breaks; the labels are
+``array('i')`` buffers that numpy fills through ``np.frombuffer`` and that
+index as plain ints. No list of records is built on this path.
 
-The array path takes an input only when all of these hold:
+The array stages take an input only when both of these hold (the records
+budget, ``cubes.MAX_RECORDS``, keeps int32 ids):
 
 - a mean level width ``n / levels`` of at least ``MIN_WIDTH``: each level
   costs a few numpy calls per sweep, so a long thin graph stays scalar;
@@ -18,8 +20,7 @@ The array path takes an input only when all of these hold:
   (``cubes.sweep_pairs``, counted before the blocked test): the pairs are
   listed one by one, so this bounds their memory, and high-dimension
   inputs, whose heavy vertices the scalar sweeps answer by subset
-  transforms, stay scalar;
-- fewer than 2^31 records, so int32 ids fit.
+  transforms, stay scalar.
 
 The measurements behind the two constants: phi, opposites, psi and ecc,
 scalar -> record arrays plus array stages, best of 2 (2-vCPU x86 host,
@@ -46,86 +47,190 @@ class of r; no mask grows with a vertex's degree.
 from __future__ import annotations
 
 from array import array
-from itertools import chain
+from itertools import islice
 from typing import Optional
 
 import numpy as np
 
-from .cubes import CubeIndex, sweep_pairs
+from .cubes import CubeIndex
 from .eccentricity import EccReport
+from .flat import _CHUNK, _chunks
 from .opposites import opposite_records
 from .theta import MAX_DIM, ThetaDecomposition
 
 MIN_WIDTH = 8
 PAIRS_PER_RECORD = 4
 
-# pairs listed per step of ``build``, and dense opposite table entries per
-# step of ``compute_opposites``: bounds their transient arrays
-_CHUNK = 1 << 15
-
 
 class Records:
-    """The record arrays the four array stages read, int32 but ``size``.
+    """The record store above the edge cut, int32 arrays but ``size``.
 
-    ``size[r]`` is |pof(r)|, as int8; ``start[v]`` is the first record id of
-    anti-basis v; ``order`` is ``CubeIndex.order``. ``out`` and
-    ``out_ptr`` list each vertex's outgoing records as
-    ``CubeIndex.outgoing`` does, and ``outdeg[v]`` is v's out-degree.
-    ``mask[r]`` is r's pof over its basis' out-classes in ascending class
-    order, where that basis is dense for ``compute_opposites``.
-    ``pair_t``, ``pair_r`` are the unblocked sweep pairs; ``levels`` lists
-    the pair slice of each level and ``groups`` that of each (level, mask)
-    group, in level order.
-    """
+    ``walk`` fills ``theta``, the decomposition walked; ``order`` (as
+    ``CubeIndex.order``); ``start[v]``, so that record ``start[v] + M`` has
+    the classes of mask M over v's ingoing classes as its pof; ``basis``;
+    ``size[r]`` = |pof(r)|, int8; and ``out`` and ``out_ptr``, which list
+    each vertex's outgoing records as ``CubeIndex.outgoing`` does. ``build``
+    adds what the array stages read: ``outdeg[v]``; ``mask[r]``, r's pof
+    over its basis' out-classes in ascending class order, where that basis
+    is dense for ``compute_opposites``; ``pair_t`` and ``pair_r``, the
+    unblocked sweep pairs; and ``levels`` and ``groups``, the pair slices
+    of each level and of each (level, mask) group, in level order."""
 
-    __slots__ = ("size", "start", "order", "out", "out_ptr", "outdeg",
-                 "mask", "pair_t", "pair_r", "levels", "groups")
+    __slots__ = ("theta", "order", "start", "basis", "size", "out",
+                 "out_ptr", "outdeg", "mask", "pair_t", "pair_r", "levels",
+                 "groups")
+
+    def tolist(self, name: str) -> list:
+        """The ``CubeIndex`` list of that name."""
+        t = self.theta.arrays
+        if name == "ingoing":  # adjacent ranges share their bound ints
+            bounds = np.append(self.start[self.order], len(self.basis))
+            ranges, bounds = np.empty(len(self.start), object), bounds.tolist()
+            ranges[self.order] = np.fromiter(map(range, bounds, bounds[1:]),
+                                             object, len(self.start))
+            return ranges.tolist()
+        if name == "outgoing":
+            rids, ptr = self.out.tolist(), self.out_ptr.tolist()
+            return [rids[i:j] for i, j in zip(ptr, ptr[1:])]
+        if name == "pof":  # each pof is some vertex's in_classes
+            return self.pofs(np.arange(len(self.basis), dtype=np.int32),
+                             {p: p for p in self.theta.in_classes})
+        return t.ids[getattr(self, name)].tolist()
+
+    def pofs(self, rec, shared=None) -> list:
+        """The pof of each record in ``rec``, a chunk and a size at a time:
+        the classes of its mask's bits, lowest first, as its tuple in
+        ``shared`` where that is given."""
+        t, pofs = self.theta.arrays, []
+        for lo in range(0, len(rec), _CHUNK):
+            part = rec[lo:lo + _CHUNK]
+            w = self.order[np.searchsorted(self.start[self.order], part,
+                                           "right") - 1]
+            local, size = part - self.start[w], self.size[part]
+            out = np.empty(len(part), object)
+            out.fill(())
+            for k in range(1, int(size.max(initial=0)) + 1):
+                sel = np.flatnonzero(size == k)
+                mask, cls = local[sel], []
+                for i in range(k):
+                    bit = mask & -mask
+                    cls.append(t.ids[t.in_cls[t.in_ptr[w[sel]] + np.frexp(
+                        bit)[1] - 1]].tolist())
+                    mask ^= bit
+                out[sel] = np.fromiter(zip(*cls) if shared is None else map(
+                    shared.__getitem__, zip(*cls)), object, len(sel))
+            pofs += out.tolist()
+        return pofs
 
 
-def records(index: CubeIndex, theta: ThetaDecomposition) -> Optional[Records]:
-    """``build``'s arrays, or None where the rule keeps an input scalar."""
-    n, R = index.n, len(index)
-    levels = theta.dist0[index.order[-1]] + 1
-    if n < MIN_WIDTH * levels or R >= 1 << 31 or \
-            sweep_pairs(index) > PAIRS_PER_RECORD * R:
-        return None
-    return build(index, theta)
-
-
-def build(index: CubeIndex, theta: ThetaDecomposition) -> Records:
-    """The record arrays and the unblocked sweep pairs of ``index``."""
-    n, R = index.n, len(index)
+def walk(theta: ThetaDecomposition) -> Optional[Records]:
+    """The records of a theta with arrays, in ``d`` numpy rounds: round h
+    gives each record whose mask has top bit h the basis one ingoing edge
+    of the anti-basis' h-th class below that of the record without that
+    bit. None where there is no such edge one level down, where the scalar
+    walk stalls or refuses the landing."""
+    t = theta.arrays
+    n = len(t.kin)
     a = Records()
-    a.order = order = np.fromiter(index.order, np.int32, n)
-    kin = np.fromiter(map(len, theta.in_classes), np.int32, n)
-    ins = _Ins(kin, np.fromiter(chain.from_iterable(theta.in_classes),
-                                np.int32))
-    count = np.left_shift(1, kin[order], dtype=np.int32)
+    a.theta = theta
+    a.order = order = np.argsort(t.level, kind="stable").astype(np.int32)
+    count = np.left_shift(1, t.kin[order], dtype=np.int32)
     a.start = start = np.empty(n, np.int32)
     start[order] = np.cumsum(count, dtype=np.int32) - count
-    anti = np.repeat(order, count)
-    del count
-    local = np.arange(R, dtype=np.int32)
-    local -= start[anti]
-    a.size = size = np.zeros(R, np.int8)
-    for h in range(ins.kmax):
-        size += (local >> h) & 1
-    basis = np.fromiter(index.basis, np.int32, R)
+    a.basis = basis = np.empty(int(count.sum()), np.int32)
+    basis[start] = np.arange(n)
+    a.size = size = np.zeros(len(basis), np.int8)
+    for h in range(int(t.kin.max(initial=0))):
+        vs = np.flatnonzero(t.kin > h)
+        low = (start[vs, None] + np.arange(1 << h, dtype=np.int32)).ravel()
+        w = basis[low]
+        at, found = _find(t, w, np.repeat(t.in_cls[t.in_ptr[vs] + h], 1 << h))
+        x = np.take(t.in_tail, at, mode="clip")
+        if not (found & (t.level[x] == t.level[w] - 1)).all():
+            return None
+        basis[low + (1 << h)] = x
+        size[low + (1 << h)] = size[low] + 1
     a.out = np.argsort(basis, kind="stable").astype(np.int32)
     a.out_ptr = np.zeros(n + 1, np.int32)
     np.cumsum(np.bincount(basis, minlength=n), out=a.out_ptr[1:])
-    a.outdeg = np.fromiter(map(len, theta.incident), np.int32, n) - kin
-    face, fptr = _faces(a, ins, basis, anti, local)
-    del basis
-    a.mask = _dense_masks(a, ins, anti, local, face, fptr, theta.q)
-    blocks = _blocks(size, local, face, fptr, ins.kmax)
-    del ins
+    return a
+
+
+def links(a: Records) -> bool:
+    """Whether every vertex passes ``cubes._check_links``. A 2-cube r with
+    classes b < c from x up to w finds x + b and x + c as the bases of w's
+    1-cubes. (in, out, out): a membership test per (r, ingoing class of
+    x). (out, out, out): r is the link edge between its faces at x; each
+    triangle is counted at its edge of the two smaller faces, probing the
+    smaller of their sets of larger neighbours in the sorted edge keys, as
+    the scalar set intersections do. x's count must equal its 3-cubes."""
+    t = a.theta.arrays
+    n, R = len(a.start), len(a.basis)
+    two = np.flatnonzero(a.size == 2)
+    w = a.order[np.searchsorted(a.start[a.order], two, "right") - 1]
+    local = two - a.start[w]
+    low = local & -local
+    x = a.basis[two]
+    xb, xc = a.basis[a.start[w] + local - low], a.basis[a.start[w] + low]
+    k = t.kin[x]
+    i = np.repeat(np.arange(len(two)), k)
+    cls = t.in_cls[_ranges(t.in_ptr[x], k)]
+    if (_find(t, xb[i], cls)[1] & _find(t, xc[i], cls)[1] &
+            ~_find(t, w[i], cls)[1]).any():
+        return False
+    keep = np.bincount(x, minlength=n)[x] >= 3  # a triangle has 3 squares
+    w, low, local, x, xb, xc = (v[keep] for v in (w, low, local, x, xb, xc))
+    # the faces at x: the 1-cube of class b up to x + b, and that of c
+    face = []
+    for y, bit in ((xb, low), (xc, local - low)):
+        at, found = _find(t, y, t.in_cls[t.in_ptr[w] + np.frexp(bit)[1] - 1])
+        if not found.all():
+            return False
+        face.append(a.start[y] + np.left_shift(1, at - t.in_ptr[y]))
+    f1, f2 = np.minimum(*face), np.maximum(*face)
+    key = np.sort(f1.astype(np.int64) * R + f2)
+    up = np.bincount(f1, minlength=R)
+    first = np.cumsum(up) - up
+    small = up[f1] <= up[f2]
+    probes = np.where(small, up[f1], up[f2])
+    want = np.repeat(np.where(small, f2, f1).astype(np.int64) * R, probes)
+    want += key[_ranges(first[np.where(small, f1, f2)], probes)] % R
+    at = np.minimum(np.searchsorted(key, want), max(len(key) - 1, 0))
+    triangles = np.bincount(np.repeat(x, probes)[key[at] == want],
+                            minlength=n)
+    return bool((triangles == np.bincount(a.basis[a.size == 3],
+                                          minlength=n)).all())
+
+
+def _find(t, y, c):
+    """Where class c[i] sits among vertex y[i]'s ingoing edges, and whether
+    it is there: one pass per slot, counting the smaller classes."""
+    base, k = t.in_ptr[y], t.kin[y]
+    at = base.copy()
+    for s in range(int(k.max(initial=0))):
+        at += (s < k) & (np.take(t.in_cls, base + s, mode="clip") < c)
+    return at, (at < base + k) & (np.take(t.in_cls, at, mode="clip") == c)
+
+
+def build(a: Records) -> Records:
+    """``a`` with the out-degrees, dense masks and unblocked sweep pairs
+    of its records."""
+    t = a.theta.arrays
+    n, R = len(a.start), len(a.basis)
+    order, size = a.order, a.size
+    anti = np.repeat(order, np.left_shift(1, t.kin[order]))
+    local = np.arange(R, dtype=np.int32)
+    local -= a.start[anti]
+    a.outdeg = (np.bincount(t.ends, minlength=n) - t.kin).astype(np.int32)
+    face, fptr = _faces(a, anti, local)
+    a.mask = _dense_masks(a, anti, local, face, fptr)
+    blocks = _blocks(size, local, face, fptr, int(t.kin.max(initial=0)))
 
     # t: each nonempty ingoing record of a vertex with outgoing cubes, by
     # (level, local mask, vertex); a group is one (level, local mask)
     per_b = np.diff(a.out_ptr) - 1
     t_all = np.flatnonzero((size > 0) & (per_b[anti] > 0))
-    key = np.fromiter(theta.dist0, np.int64, n)[anti[t_all]] << MAX_DIM
+    key = t.level[anti[t_all]].astype(np.int64) << MAX_DIM
     key |= local[t_all]
     by = np.argsort(key, kind="stable")
     t_all, key = t_all[by].astype(np.int32), key[by]
@@ -187,57 +292,23 @@ def _ranges(first, lens):
         np.repeat(first - (ends - lens), lens)
 
 
-def _chunks(weights):
-    """Consecutive slices of the positions of ``weights``, each of total
-    weight about ``_CHUNK`` and at least one position."""
-    ends = np.cumsum(weights)
-    lo = 0
-    while lo < len(ends):
-        done = int(ends[lo - 1]) if lo else 0
-        hi = max(lo + 1, int(np.searchsorted(ends, done + _CHUNK, "right")))
-        yield slice(lo, hi)
-        lo = hi
-
-
-class _Ins:
-    """Every vertex's ingoing classes, ascending, as one flat array."""
-
-    def __init__(self, kin, classes):
-        self.kin, self.classes = kin, classes
-        self.ptr = np.cumsum(kin, dtype=np.int32) - kin
-        self.kmax = int(kin.max(initial=0))
-
-    def slot(self, y, c):
-        """The position of class c[i] among vertex y[i]'s ingoing classes,
-        by counting the smaller ones: at most ``MAX_DIM`` passes."""
-        slot = np.zeros(len(y), np.int32)
-        live = np.arange(len(y))
-        base, k = self.ptr[y], self.kin[y]
-        for s in range(int(k.max(initial=0))):
-            live = live[k[live] > s]
-            slot[live] += self.classes[base[live] + s] < c[live]
-        return slot
-
-
-def _faces(a: Records, ins: _Ins, basis, anti, local):
+def _faces(a: Records, anti, local):
     """``face[fptr[r] + i]``: the 1-cube at r's basis of r's i-th class c,
     which is the 1-cube of class c up to the basis of r without c."""
-    size = a.size
-    total = int(size.sum(dtype=np.int64))
-    fptr = np.cumsum(size, dtype=np.int64 if total >> 31 else np.int32)
-    fptr -= size
-    face = np.empty(total, np.int32)
+    t, size = a.theta.arrays, a.size
+    fptr = np.cumsum(size, dtype=np.int32) - size  # < 20 * 2^22 faces
+    face = np.empty(int(size.sum(dtype=np.int64)), np.int32)
     ones = np.flatnonzero(size == 1)
     face[fptr[ones]] = ones  # a 1-cube is its own face
     for lo in range(0, len(size), _CHUNK):
         part = np.where(size[lo:lo + _CHUNK] > 1, local[lo:lo + _CHUNK], 0)
         done = np.zeros(len(part), np.int8)
-        for h in range(ins.kmax):
+        for h in range(int(t.kin.max(initial=0))):
             rec = np.flatnonzero(part & (1 << h))
-            y = basis[lo + rec - (1 << h)]
-            c = ins.classes[ins.ptr[anti[lo + rec]] + h]
+            y = a.basis[lo + rec - (1 << h)]
+            at = _find(t, y, t.in_cls[t.in_ptr[anti[lo + rec]] + h])[0]
             face[fptr[lo + rec] + done[rec]] = \
-                a.start[y] + (1 << ins.slot(y, c))
+                a.start[y] + np.left_shift(1, at - t.in_ptr[y])
             done[rec] += 1
     return face, fptr
 
@@ -256,11 +327,12 @@ def _blocks(size, local, face, fptr, kmax):
     return blocks
 
 
-def _dense_masks(a: Records, ins: _Ins, anti, local, face, fptr, q):
+def _dense_masks(a: Records, anti, local, face, fptr):
     """Each record's pof over its basis' out-classes in ascending class
     order, where that basis is dense (see ``compute_opposites``); 0
     elsewhere. The 1-cubes of a vertex follow its empty pof in
     ``outgoing``, and rank by class within it."""
+    t = a.theta.arrays
     mask = np.zeros(len(local), np.int32)
     bit = np.zeros(len(local), np.int8)
     dense = np.flatnonzero(_dense(a))
@@ -269,12 +341,12 @@ def _dense_masks(a: Records, ins: _Ins, anti, local, face, fptr, q):
         vs = dense[part]
         k = a.outdeg[vs]
         ones = a.out[_ranges(a.out_ptr[vs] + 1, k)]
-        cls = ins.classes[ins.ptr[anti[ones]] + np.frexp(local[ones])[1] - 1]
+        cls = t.in_cls[t.in_ptr[anti[ones]] + np.frexp(local[ones])[1] - 1]
         row = np.repeat(np.arange(len(vs), dtype=np.int64), k)
-        bit[ones[np.argsort(row * q + cls)]] = \
+        bit[ones[np.argsort(row * t.q + cls)]] = \
             np.arange(len(ones)) - np.repeat(np.cumsum(k) - k, k)
         recs = a.out[_ranges(a.out_ptr[vs], pofs[vs])]
-        for i in range(ins.kmax):
+        for i in range(int(a.size.max(initial=0))):
             recs = recs[a.size[recs] > i]
             mask[recs] |= np.left_shift(1, bit[face[fptr[recs] + i]],
                                         dtype=np.int32)
@@ -341,10 +413,12 @@ def compute_opposites(index: CubeIndex) -> None:
     opp[first[few]] = last[few]
     opp[last[few]] = first[few]
     dense = _dense(a)
-    for v in np.flatnonzero(~few & ~dense).tolist():
-        rids = index.outgoing[v]
-        opp[rids] = opposite_records([(index.pof[r], int(phi[r]), r)
-                                      for r in rids])
+    sparse = pofs[~few & ~dense]
+    rec = a.out[_ranges(a.out_ptr[:-1][~few & ~dense], sparse)]
+    entries = zip(a.pofs(rec), phi[rec].tolist(), rec.tolist())
+    for k in sparse.tolist():
+        rows = list(islice(entries, k))
+        opp[[r for _, _, r in rows]] = opposite_records(rows)
     dense = np.flatnonzero(dense)
     top = int(phi.max(initial=0))
     for k in np.unique(a.outdeg[dense]).tolist():
@@ -398,8 +472,7 @@ def compute_psi(index: CubeIndex) -> None:
 def eccentricities(index: CubeIndex) -> EccReport:
     """Per vertex, the largest ``label * n + (n - 1 - witness)`` over its
     outgoing phi and ingoing psi keeps the smallest witness. The lists
-    share their ints: the witnesses are ``index.order``'s, and each value
-    is one object."""
+    share their ints: one object per vertex and per value."""
     a, n = index.arrays, index.n
     phi, mu = _view(index.phi), _view(index.mu)
     psi, psiw = _view(index.psi), _view(index.psi_witness)
@@ -415,10 +488,8 @@ def eccentricities(index: CubeIndex) -> EccReport:
                                np.maximum.reduceat(key, a.start[a.order]))
     del key
     ecc, wit = np.divmod(best + (n - 1), n)
-    ids = np.empty(n, object)
-    ids[a.order] = index.order
-    ecc = np.array(range(int(ecc.max()) + 1), object)[ecc].tolist()
-    wit = ids[n - 1 - wit].tolist()
+    ids = index.records.theta.arrays.ids
+    ecc, wit = ids[ecc].tolist(), ids[n - 1 - wit].tolist()
     diameter, radius = max(ecc), min(ecc)
     u_star = ecc.index(diameter)
     return EccReport(ecc=ecc, witness=wit, diameter=diameter, radius=radius,

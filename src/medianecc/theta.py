@@ -44,7 +44,9 @@ graph, the code here runs and raises its error.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
+from typing import Optional
 
 from .graph import FLAT_MIN_EDGES, Graph, bfs
 
@@ -70,14 +72,19 @@ class ThetaDecomposition:
     that class (classes are matchings, so v has at most one such edge).
     ``in_classes[v]`` lists, ascending, the classes of the edges that point
     into v: an edge (u, v) points u -> v when dist0[u] < dist0[v].
+
+    The scalar path stores those three; the flat path builds them on first
+    read from ``arrays`` (``flat.ThetaArrays``), which the cube walk reads.
     """
 
     v0: int
     dist0: list
     q: int
-    edge_class: list
-    incident: tuple
-    in_classes: tuple
+    arrays: Optional[object] = field(default=None, repr=False, compare=False)
+
+    edge_class, incident, in_classes = (
+        cached_property(lambda self, name=name: getattr(self.arrays, name)())
+        for name in ("edge_class", "incident", "in_classes"))
 
 
 def compute_theta(g: Graph, v0: int = 0) -> ThetaDecomposition:
@@ -186,13 +193,7 @@ def _theta_scalar(g: Graph, v0: int) -> ThetaDecomposition:
                     f"vertex {x}")
             incident[x][c] = y
         ingoing[v if dist0[u] < dist0[v] else u].append(c)
-    in_classes = tuple(tuple(sorted(cs)) for cs in ingoing)
-
-    return ThetaDecomposition(
-        v0=v0,
-        dist0=dist0,
-        q=q,
-        edge_class=edge_class,
-        incident=tuple(incident),
-        in_classes=in_classes,
-    )
+    theta = ThetaDecomposition(v0=v0, dist0=dist0, q=q)
+    vars(theta).update(edge_class=edge_class, incident=tuple(incident),
+                       in_classes=tuple(tuple(sorted(cs)) for cs in ingoing))
+    return theta

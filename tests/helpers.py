@@ -5,6 +5,7 @@ label pipeline it is used to check.
 """
 from __future__ import annotations
 
+import copy
 import random
 from dataclasses import dataclass
 from typing import Optional
@@ -555,6 +556,28 @@ def acceptance_corpus_graphs():
             count += 1
 
     return graphs
+
+
+def doctored(theta, in_classes):
+    """A copy of ``theta`` whose ingoing classes are ``in_classes``; of a
+    theta with arrays, the ingoing arrays change too. Each listed class
+    leads across its edge at the vertex, or from the vertex to itself
+    where there is none, so the walk refuses an added class as the scalar
+    walk does: by its level check, where that edge leads up or is missing."""
+    incident = theta.incident
+    arrays = copy.copy(theta.arrays)
+    if arrays is not None:
+        arrays.kin = np.array([len(inc) for inc in in_classes], np.int64)
+        arrays.in_ptr = np.concatenate(([0], np.cumsum(arrays.kin)))
+        arrays.in_cls = np.array([c for inc in in_classes for c in inc],
+                                 np.int64)
+        arrays.in_tail = np.array([incident[v].get(c, v)
+                                   for v, inc in enumerate(in_classes)
+                                   for c in inc], np.int64)
+    out = ThetaDecomposition(theta.v0, theta.dist0, theta.q, arrays)
+    vars(out).update(edge_class=theta.edge_class, incident=incident,
+                     in_classes=in_classes)
+    return out
 
 
 def minus_vertex(g, x):

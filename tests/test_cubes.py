@@ -1,17 +1,16 @@
 from __future__ import annotations
 
 import tracemalloc
-from dataclasses import replace
 from types import SimpleNamespace
 
 import pytest
 
-from helpers import (anti_bases, bouquet, cogwheel, is_pof, minus_vertex,
-                     ortho_pairs, record_id)
+from helpers import (anti_bases, bouquet, cogwheel, doctored, is_pof,
+                     minus_vertex, ortho_pairs, record_id)
 
 from medianecc import (NonMedianGraphError, bfs, build_graph, compute_theta,
                        enumerate_cubes, load_graph)
-from medianecc import cubes, flat
+from medianecc import cubes, flat, flat_labels
 from medianecc import theta as theta_mod
 from medianecc.graph import FLAT_MIN_EDGES
 from medianecc.generators import fixture, gen_grid, gen_hypercube
@@ -188,8 +187,8 @@ def test_walk_failure_on_inconsistent_decomposition():
     theta = compute_theta(g, 0)
     # claim vertex 2 has an ingoing class that has no edge there
     missing = theta.edge_class[g.neighbors[0][1]]
-    broken = replace(theta, in_classes=theta.in_classes[:2]
-                     + (tuple(sorted(theta.in_classes[2] + (missing,))),))
+    broken = doctored(theta, theta.in_classes[:2]
+                      + (tuple(sorted(theta.in_classes[2] + (missing,))),))
     with pytest.raises(NonMedianGraphError, match="stalled"):
         enumerate_cubes(g, broken)
 
@@ -199,10 +198,9 @@ def test_walk_refusal_on_an_upward_landing():
     theta = compute_theta(g, 0)
     # claim edge (1, 2), which points up from vertex 1, is ingoing there
     up = theta.edge_class[g.neighbors[1][2]]
-    broken = replace(theta, in_classes=(theta.in_classes[0],
-                                        tuple(sorted(theta.in_classes[1]
-                                                     + (up,))),
-                                        theta.in_classes[2]))
+    broken = doctored(theta, (theta.in_classes[0],
+                              tuple(sorted(theta.in_classes[1] + (up,))),
+                              theta.in_classes[2]))
     with pytest.raises(NonMedianGraphError,
                        match=r"classes \(1,\) landed at vertex 2, "
                              r"not \|pof\| levels down"):
@@ -239,17 +237,25 @@ def test_records_share_thetas_class_tuples(small_corpus):
 def test_link_pass_memory_grows_with_the_squares(make, small):
     # vertex 0 has degree 2k in a bouquet and k in a cogwheel, and k
     # squares; four times the squares may cost about four times the
-    # memory, not sixteen
-    peaks = []
+    # memory, not sixteen, in the scalar pass on the lists and in the
+    # array pass on the records
+    peaks = {"scalar": [], "array": []}
     for k in (small, 4 * small):
-        theta, index = _index_for(make(k))
-        tracemalloc.start()
-        try:
-            cubes._check_links(index, theta)
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
-    assert peaks[1] < 6 * peaks[0], peaks
+        g = make(k)
+        theta = theta_mod._theta_scalar(g, 0)
+        index = enumerate_cubes(g, theta)
+        records = flat_labels.walk(flat.compute_theta(g, 0))
+        for name, check in (("scalar", lambda: cubes._check_links(index,
+                                                                  theta)),
+                            ("array", lambda: flat_labels.links(records))):
+            tracemalloc.start()
+            try:
+                assert check() in (None, True)
+                peaks[name].append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+    for name, (low, high) in peaks.items():
+        assert high < 6 * low, (name, peaks)
 
 
 def test_walk_reads_only_the_vertex_count(small_corpus):

@@ -2,9 +2,11 @@
 stages' labels, witnesses and reports, and the rule sends the inputs it
 names to each path.
 
-``flat_labels.build`` is called directly, so the rule that picks a path in
-``enumerate_cubes`` is bypassed: on small graphs the scalar run leaves
-``index.arrays`` None, and the array run sets it before the label stages.
+``flat.compute_theta``, ``flat_labels.walk`` and ``flat_labels.build`` are
+called directly, so the edge cut and the rule that pick a path are
+bypassed: on small graphs the scalar run walks theta's lists and leaves
+``index.arrays`` None, and the array run walks theta's arrays and sets it
+before the label stages.
 """
 from __future__ import annotations
 
@@ -14,10 +16,10 @@ from array import array
 
 import pytest
 
-from medianecc import (build_graph, compute_opposites, compute_phi,
+from medianecc import (CubeIndex, build_graph, compute_opposites, compute_phi,
                        compute_psi, compute_theta, eccentricities,
                        enumerate_cubes, run_pipeline)
-from medianecc import flat_labels
+from medianecc import flat, flat_labels
 from medianecc.cubes import sweep_pairs
 from medianecc.generators import (cartesian_product, gen_grid,
                                   gen_hypercube, gen_tree,
@@ -28,9 +30,17 @@ EXPANSIONS = 300
 
 
 def labelled(g, v0, arrays):
-    theta = compute_theta(g, v0)
-    index = enumerate_cubes(g, theta)
-    index.arrays = flat_labels.build(index, theta) if arrays else None
+    """The labelled index and report, walked on flat theta's arrays and
+    swept on record arrays, or all scalar."""
+    if arrays:
+        theta = flat.compute_theta(g, v0)
+        index = CubeIndex(g.n)
+        index.records = flat_labels.walk(theta)
+        assert flat_labels.links(index.records)
+        index.arrays = flat_labels.build(index.records)
+    else:
+        theta = compute_theta(g, v0)
+        index = enumerate_cubes(g, theta)
     compute_phi(index, theta)
     compute_opposites(index)
     compute_psi(index, theta)

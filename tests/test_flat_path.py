@@ -1,6 +1,8 @@
 """The flat (numpy) and scalar paths give the same results and refuse the
 same inputs: ``load_graph``'s array validation (``flat._build``) against
-``build_graph``, and the two paths of ``compute_theta``.
+``build_graph``, the two paths of ``compute_theta``, and the cube walk and
+link pass on flat theta's arrays (``flat_labels.walk`` and ``links``)
+against the scalar ones in ``enumerate_cubes``.
 
 The path functions are called directly, so the edge-count cut that picks
 a path in the public functions is bypassed. A ``medianecc.flat`` function
@@ -16,11 +18,17 @@ import os
 import random
 import subprocess
 import sys
+import time
+import tracemalloc
 
 import numpy as np
+import pytest
 
-from medianecc import build_graph, load_graph, run_pipeline, save_graph
-from medianecc import flat
+from helpers import doctored, near_median_graphs
+
+from medianecc import (CubeIndex, build_graph, compute_theta,
+                       enumerate_cubes, load_graph, run_pipeline, save_graph)
+from medianecc import cubes, flat, flat_labels
 from medianecc import graph as graph_mod
 from medianecc import theta as theta_mod
 from medianecc.generators import (cartesian_product, gen_grid,
@@ -30,7 +38,9 @@ FUZZ_GRAPHS = 2400
 
 
 def theta_key(theta):
-    """Every field, with each incident map's insertion order."""
+    """Every field, and each index flat theta builds on first read (they
+    are not fields, so ``==`` does not compare them): ``edge_class``,
+    ``incident`` with each map's insertion order, and ``in_classes``."""
     return (theta.v0, theta.dist0, theta.q, theta.edge_class,
             [list(d.items()) for d in theta.incident], theta.in_classes)
 
@@ -51,6 +61,7 @@ def assert_same_theta(g, v0):
         assert flat_theta is None, f"flat path accepted, scalar raised {scalar}"
         return False
     assert flat_theta is not None, "flat path refused, scalar accepted"
+    assert not {"edge_class", "incident", "in_classes"} & set(vars(flat_theta))
     assert theta_key(flat_theta) == theta_key(scalar)
     return True
 
@@ -156,6 +167,24 @@ def test_large_input_builds_no_neighbor_maps():
     assert "neighbors" not in vars(g)
 
 
+def test_large_input_builds_no_index_lists():
+    # above the cut theta's indexes and the index's record lists are
+    # views that no stage of an array run reads, counters included
+    result = run_pipeline(gen_grid(120, 120))
+    counters = result.counters
+    assert counters["sweeps"] == "array"
+    assert not {"edge_class", "incident", "in_classes"} & \
+        set(vars(result.theta))
+    lists = ("order", "basis", "pof", "outgoing", "ingoing")
+    assert not set(lists) & set(vars(result.index))
+    # the views equal what the pair count reads from the arrays
+    index = result.index
+    assert counters["pairs"] == sum(
+        (len(out) - 1) * (len(ins) - 1)
+        for out, ins in zip(index.outgoing, index.ingoing))
+    assert counters["records"] == len(index.pof) == len(index.basis)
+
+
 def test_scaling_grids_take_the_flat_path(monkeypatch):
     # the grid sizes of test_criterion_6_near_linear_scaling
     flat_results = []
@@ -187,3 +216,144 @@ def test_generators_and_small_runs_leave_numpy_unloaded():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True, timeout=300).stdout
     assert out == "False\n"
+
+
+def walked(g, v0):
+    """The scalar walk's outcome from v0 (an index, or the error's type and
+    message), and the records of the array walk where it and the array
+    link pass accept; None where flat theta refuses g."""
+    flat_theta = flat.compute_theta(g, v0)
+    if flat_theta is None:
+        return None
+    scalar = outcome(enumerate_cubes, g, theta_mod._theta_scalar(g, v0))
+    records = flat_labels.walk(flat_theta)
+    accepted = records is not None and flat_labels.links(records)
+    return scalar, records if accepted else None
+
+
+def assert_same_walk(g, v0):
+    """Whether the scalar walk accepts (g, v0), after checking that the
+    array walk and link pass agree, and give every record list."""
+    found = walked(g, v0)
+    if found is None:
+        return False
+    scalar, records = found
+    if isinstance(scalar, tuple):
+        assert records is None, f"array walk accepted, scalar raised {scalar}"
+        return False
+    assert records is not None, "array walk refused, scalar accepted"
+    index = CubeIndex(g.n)
+    index.records = records
+    for name in ("order", "basis", "pof", "outgoing", "ingoing"):
+        assert getattr(index, name) == getattr(scalar, name), name
+    assert len(index) == len(scalar)
+    assert records.size.tolist() == [len(p) for p in scalar.pof]
+    assert len({id(p) for p in index.pof}) == g.n  # shared, as the scalar's
+    return True
+
+
+def test_walk_paths_agree(small_corpus):
+    # corpus() holds Q1..Q8
+    for g in corpus() + [g for _, g in small_corpus]:
+        for v0 in sorted({0, g.n // 2, g.n - 1}):
+            assert_same_walk(g, v0)
+
+
+def test_walk_refusals_agree():
+    # random graphs, and median graphs less a vertex or an edge, most of
+    # which theta passes and the link pass refuses; then every accepted
+    # input again with one class added to a vertex's ingoing classes,
+    # which both walks refuse with the scalar walk's message
+    rng = random.Random(20261019)
+    draws = [(g, v0) for _, g, v0 in near_median_graphs(19, 1000)]
+    for _ in range(FUZZ_GRAPHS):
+        n, edges = random_connected(rng)
+        draws.append((build_graph(n, edges), rng.randrange(n)))
+    verdicts = []
+    for g, v0 in draws:
+        if walked(g, v0) is None:
+            continue
+        verdicts.append(assert_same_walk(g, v0))
+        if not verdicts[-1]:
+            continue
+        scalar, flat_theta = compute_theta(g, v0), flat.compute_theta(g, v0)
+        absent = [(v, c) for v, inc in enumerate(scalar.in_classes)
+                  for c in range(scalar.q) if c not in inc]
+        if not absent:
+            continue
+        v, c = rng.choice(absent)
+        ins = list(scalar.in_classes)
+        ins[v] = tuple(sorted(ins[v] + (c,)))
+        broken = doctored(scalar, tuple(ins))
+        message = outcome(enumerate_cubes, g, broken)
+        assert message[0] is theta_mod.NonMedianGraphError, message
+        assert flat_labels.walk(doctored(flat_theta, tuple(ins))) is None
+        assert outcome(enumerate_cubes, g,
+                       doctored(flat_theta, tuple(ins))) == message
+    # both outcomes are well represented
+    assert 100 < verdicts.count(False) and 100 < verdicts.count(True)
+
+
+def star(m):
+    return build_graph(m + 1, [(0, v) for v in range(1, m + 1)])
+
+
+def best_of_3(fn):
+    times = []
+    for _ in range(3):
+        t = time.perf_counter()
+        out = fn()
+        times.append(time.perf_counter() - t)
+    return out, min(times)
+
+
+@pytest.mark.parametrize("make, v0", [
+    pytest.param(lambda: cartesian_product(star(40_000), gen_grid(1, 2)), v0,
+                 id=f"star_x_edge-v0={v0}") for v0 in (0, 1)] + [
+    pytest.param(lambda: cartesian_product(star(200), star(200)), 0,
+                 id="star_x_star")])
+def test_hub_link_pass(make, v0):
+    # K_1,40000 x K_2 has two hubs of 40,001 classes; the centre of
+    # K_1,200 x K_1,200 has the link K_200,200, 40,000 squares and no
+    # triangle. The array pass accepts as the scalar one does, no slower
+    g = make()
+    scalar_theta = theta_mod._theta_scalar(g, v0)
+    index = enumerate_cubes(g, scalar_theta)
+    records = flat_labels.walk(flat.compute_theta(g, v0))
+    accepted, array_s = best_of_3(lambda: flat_labels.links(records))
+    refused, scalar_s = best_of_3(lambda: cubes._check_links(index,
+                                                             scalar_theta))
+    assert accepted is True and refused is None
+    assert array_s <= scalar_s, (array_s, scalar_s)
+
+
+def test_records_preflight():
+    # Q14's 3^14 records are refused from theta's ingoing counts, before
+    # the walk allocates any; Q13's 3^13 fit the budget. One run is timed,
+    # another traced for its peak allocation
+    assert 3 ** 13 <= cubes.MAX_RECORDS < 3 ** 14
+    q14 = gen_hypercube(14)
+    message = ("^the cube walk would emit 4,782,969 records, above the "
+               "budget of 4,194,304$")
+    t = time.perf_counter()
+    with pytest.raises(MemoryError, match=message):
+        run_pipeline(q14)
+    elapsed = time.perf_counter() - t
+    tracemalloc.start()
+    try:
+        with pytest.raises(MemoryError, match=message):
+            run_pipeline(q14)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 1 and peak < 100 << 20, (elapsed, peak)
+
+
+def test_records_preflight_on_the_scalar_path(monkeypatch):
+    monkeypatch.setattr(cubes, "MAX_RECORDS", 26)
+    g = gen_hypercube(3)
+    with pytest.raises(MemoryError, match="emit 27 records, above the "
+                                          "budget of 26$"):
+        enumerate_cubes(g, compute_theta(g))
+    monkeypatch.setattr(cubes, "MAX_RECORDS", 27)
+    assert len(enumerate_cubes(g, compute_theta(g))) == 27
