@@ -62,7 +62,8 @@ class CubeIndex:
     ``phi``, ``mu``, ``opp``, ``psi`` and ``psi_witness`` are None until
     the stage that fills them allocates them: lists, or ``array('i')``
     buffers where ``arrays`` holds the record arrays of
-    ``medianecc.flat_labels``.
+    ``medianecc.flat_labels``. Scalar stages fill ``mask``
+    (``opposites.class_masks``) and ``paths``, vertices per path.
 
     Above the cut, where the label stages run on arrays, ``records`` and
     ``arrays`` hold ``flat_labels.Records``; the lists are views of it.
@@ -72,7 +73,8 @@ class CubeIndex:
         self.n = n
         self.dimension = 0
         self.phi = self.mu = self.opp = self.psi = self.psi_witness = None
-        self.arrays = self.records = None
+        self.arrays = self.records = self.mask = None
+        self.paths = {}
 
     def __len__(self) -> int:
         return len(self.basis if self.records is None else self.records.basis)

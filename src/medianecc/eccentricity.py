@@ -10,8 +10,8 @@ families on the records around u.
 The sweep visits vertices from the nearest level to the farthest and pairs
 each outgoing record with the ingoing records of its basis that its pof
 does not block; ties go to the opposite's phi, then to the smallest
-ingoing record id. A heavy vertex (the phi sweep's test) answers them by
-one subset-max transform keyed so that the same ties win. An index with
+ingoing record id. Vertices take the phi sweep's paths (counted in
+``index.paths["psi"]``), keyed so that the same ties win. An index with
 record arrays runs both steps in ``medianecc.flat_labels``.
 """
 from __future__ import annotations
@@ -20,8 +20,7 @@ from dataclasses import dataclass
 
 from . import labels
 from .cubes import CubeIndex
-from .labels import local_masks
-from .opposites import subset_max
+from .opposites import class_masks, dense, subset_max
 from .theta import ThetaDecomposition
 
 
@@ -69,6 +68,7 @@ def compute_psi(index: CubeIndex, theta: ThetaDecomposition) -> None:
     R = len(pofs)
     index.psi = psi = [-1] * R
     index.psi_witness = psiw = [-1] * R
+    loop = scan = transform = 0
 
     for b in index.order:  # by level, nearest first
         outs = outgoing[b]
@@ -76,11 +76,9 @@ def compute_psi(index: CubeIndex, theta: ThetaDecomposition) -> None:
             continue
         ins = ingoing[b]
         k = len(incident[b]) - len(in_classes[b])
-        masks = None  # light
-        if (len(outs) - 1) * (len(ins) - 1) > \
-                labels._transform_cost(k, len(ins)):
-            masks = local_masks(index, incident, outs, ins)
-        if masks is None:
+        if (len(outs) - 1) * (len(ins) - 1) <= \
+                labels._heavy_cost(k, len(ins)) or not dense(len(outs), k):
+            loop += 1
             lows = ins[1:]  # ascending t: the first wins ties
             for r in outs[1:]:
                 X = pofs[r]
@@ -98,20 +96,31 @@ def compute_psi(index: CubeIndex, theta: ThetaDecomposition) -> None:
                 psi[r] = len(X) + reach
                 psiw[r] = wit
             continue
-        out_masks, in_masks = masks
-        best = [-1] * (1 << k)
-        for t, m in zip(ins[1:], in_masks):
-            best[m] = max(best[m], psi[t] * R + (R - 1 - t))
-        subset_max(best, k)
-        full = len(best) - 1
-        for r, m in zip(outs[1:], out_masks[1:]):
+        masks = class_masks(index, outs, k)
+        top = {}  # the best key of each distinct blocked mask
+        for t, q in zip(ins[1:], labels.blocked_masks(index, theta, b, masks,
+                                                      k)[1:]):
+            top[q] = max(top.get(q, -1), psi[t] * R + (R - 1 - t))
+        nonempty = list(zip(outs[1:], masks[1:]))
+        for r, _ in nonempty:  # start at the opposite's phi
             o = opp[r]
-            reach, wit = phi[o], mu[o]
-            p, t = divmod(best[full ^ m], R)  # p = -1 when no t fits
-            if p > reach:
-                reach, wit = p, psiw[R - 1 - t]
-            psi[r] = len(pofs[r]) + reach
-            psiw[r] = wit
+            psi[r] = len(pofs[r]) + phi[o]
+            psiw[r] = mu[o]
+        if labels._scans(len(top), len(outs), k):
+            scan += 1  # best keys first: a later equal psi does not win
+            ranked = sorted(top.items(), key=lambda e: -e[1])
+            offers = ((r, key) for q, key in ranked
+                      for r in [r for r, m in nonempty if not m & q])
+        else:
+            transform += 1
+            table = subset_max(top.items(), k)
+            offers = ((r, table[-1 - m]) for r, m in nonempty)
+        for r, key in offers:
+            p, t = divmod(key, R)  # p = -1 when no t fits
+            if len(pofs[r]) + p > psi[r]:
+                psi[r] = len(pofs[r]) + p
+                psiw[r] = psiw[R - 1 - t]
+    index.paths["psi"] = {"loop": loop, "scan": scan, "transform": transform}
 
 
 def eccentricities(index: CubeIndex) -> EccReport:

@@ -55,7 +55,7 @@ import numpy as np
 from .cubes import CubeIndex
 from .eccentricity import EccReport
 from .flat import _CHUNK, _chunks
-from .opposites import opposite_records
+from .opposites import dense, opposite_records
 from .theta import MAX_DIM, ThetaDecomposition
 
 MIN_WIDTH = 8
@@ -354,14 +354,9 @@ def _dense_masks(a: Records, anti, local, face, fptr):
 
 
 def _dense(a: Records):
-    """Vertices answered by subset-min tables: three or more outgoing pofs
-    over k classes with 2^k at most twice their count, as
-    ``opposites.pof_masks`` decides; k <= 30 keeps int32 masks."""
-    pofs = np.diff(a.out_ptr)
-    k = a.outdeg
-    return (pofs > 2) & (k <= 30) & \
-        (2 * pofs.astype(np.int64) >= np.left_shift(1, np.minimum(k, 30),
-                                                     dtype=np.int64))
+    """Vertices answered by subset-min tables, by the scalar sweeps' rule
+    (``opposites.dense``) over their outgoing pofs and out-degree."""
+    return dense(np.diff(a.out_ptr), a.outdeg)
 
 
 def _labels(R: int):

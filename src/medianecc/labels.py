@@ -10,11 +10,14 @@ The sweep visits vertices from the farthest level to the nearest and
 labels each vertex b's ingoing records t from b's outgoing records: the
 best phi among outgoing pofs L not blocked at t (no class of L incident to
 t's basis), ties to the larger record id. b's local classes are its k
-upward edges (see ``medianecc.cubes``). At a heavy vertex (more pairs of
-nonempty records than ``_transform_cost(k, #in)``) with dense pofs
-(``local_masks``), one subset-max transform over b's local class bits
-replaces that pair loop: every pof inside the complement of t's blocked
-mask is unblocked, so one table read answers t.
+upward edges (see ``medianecc.cubes``). Unless a vertex is heavy
+(``_heavy_cost``) and dense (``opposites.dense``), a "loop" tests every
+pair. Otherwise every pof inside the complement of t's blocked mask
+(``blocked_masks``) over b's classes (``opposites.class_masks``) is
+unblocked, and each distinct blocked mask takes a "scan" of b's outgoing
+masks, one AND per record, or where ``_scans`` says that costs more, one
+subset-max "transform" table; ``index.paths["phi"]`` counts the paths.
+On Q_d every class blocks every nonempty record: one scan answers all.
 
 An index whose ``arrays`` slot is set (large inputs with wide levels and
 few pairs, see ``medianecc.flat_labels``) is swept on numpy arrays
@@ -23,40 +26,40 @@ instead, with the same labels and ties.
 from __future__ import annotations
 
 from .cubes import CubeIndex
-from .opposites import pof_masks, subset_max
+from .opposites import class_masks, dense, subset_max
 from .theta import ThetaDecomposition
 
 
-def _transform_cost(k: int, n_in: int) -> int:
-    """Python steps of the transform at a vertex with k local classes and
-    n_in ingoing records: k probes per ingoing record for its blocked mask,
-    2^k table slots and k passes over them in ``subset_max``. The pair loop
-    takes at least one step per pair, so more pairs than this make a vertex
-    heavy. On the benchmark inputs that cut is as fast as all-transform on
-    Q10 and Q11 and as all-loop on small-batch (all-transform: +60 %)."""
-    return ((k + 1) << k) + k * n_in
+def _heavy_cost(k: int, n_in: int) -> int:
+    """Python steps of the mask paths at a vertex with k local classes
+    and n_in ingoing records: about two per 2^k table slot and per
+    ingoing record, and 64 for the calls. More pairs make a vertex heavy.
+    Against the transform's cost, (k + 1) 2^k + k n_in, this cut took 14 %
+    off the label stages on Q11 and 2 % on small-batch (best of 10,
+    interleaved); all-heavy is over 50 % slower on small-batch."""
+    return (2 << k) + 2 * n_in + 64
 
 
-def local_masks(index: CubeIndex, incident: list, outs: list, ins: list):
-    """``(out_masks, in_masks)`` at a dense vertex (``pof_masks``) with
-    outgoing and ingoing records ``outs`` and ``ins`` (each led by its
-    empty pof), else None: each outgoing pof's mask over the local
-    classes, and for each nonempty ingoing record the mask of those
-    incident to its basis."""
-    dense = pof_masks([index.pof[r] for r in outs])
-    if dense is None:
-        return None
-    bit, mask = dense
-    basis, bits = index.basis, list(bit.items())
-    in_masks = []
-    for t in ins[1:]:
-        inc = incident[basis[t]]
-        m = 0
-        for c, b in bits:
-            if c in inc:
-                m |= b
-        in_masks.append(m)
-    return list(mask.values()), in_masks
+def _scans(distinct: int, n_out: int, k: int) -> bool:
+    """Whether n_out ANDs per distinct mask beat k passes over 2^k."""
+    return distinct * n_out < (k + 1) << k
+
+
+def blocked_masks(index: CubeIndex, theta: ThetaDecomposition, b: int,
+                  masks: list, k: int) -> list:
+    """For each mask M over b's ingoing classes, the bits of b's k classes
+    (as b's outgoing ``masks``) incident to the basis of b's record M. A
+    class c blocks the pof X exactly when X lies in the ingoing classes of
+    b + c (see ``medianecc.flat_labels``), so the mask of M is that of M
+    without its top bit AND that of the top bit: k probes per class."""
+    incident, pofs, outs = theta.incident, index.pof, index.outgoing[b]
+    bits = [(pofs[r][0], m) for r, m in zip(outs[1:k + 1], masks[1:k + 1])]
+    found = [(1 << k) - 1]  # b has all of its classes
+    for a in theta.in_classes[b]:
+        at = incident[incident[b][a]]
+        top = sum(bit for c, bit in bits if c in at)
+        found += [m & top for m in found]
+    return found
 
 
 def compute_phi(index: CubeIndex, theta: ThetaDecomposition) -> None:
@@ -74,6 +77,7 @@ def compute_phi(index: CubeIndex, theta: ThetaDecomposition) -> None:
     R = len(pofs)
     index.phi = phi = [0] * R
     index.mu = mu = basis[:]
+    loop = scan = transform = 0
 
     for b in reversed(index.order):  # by level, farthest first
         ins = ingoing[b]
@@ -81,10 +85,9 @@ def compute_phi(index: CubeIndex, theta: ThetaDecomposition) -> None:
             continue
         outs = outgoing[b]
         k = len(incident[b]) - len(in_classes[b])
-        masks = None  # light
-        if (len(outs) - 1) * (len(ins) - 1) > _transform_cost(k, len(ins)):
-            masks = local_masks(index, incident, outs, ins)
-        if masks is None:
+        if (len(outs) - 1) * (len(ins) - 1) <= _heavy_cost(k, len(ins)) \
+                or not dense(len(outs), k):
+            loop += 1
             tops = outs[:0:-1]  # descending r: the larger r wins ties
             for t in ins[1:]:
                 inc_low = incident[basis[t]]
@@ -100,13 +103,21 @@ def compute_phi(index: CubeIndex, theta: ThetaDecomposition) -> None:
                 phi[t] = len(pofs[t]) + reach
                 mu[t] = wit
             continue
-        out_masks, in_masks = masks
-        best = [-1] * (1 << k)
-        for r, m in zip(outs, out_masks):
-            best[m] = phi[r] * R + r
-        subset_max(best, k)
-        full = len(best) - 1
-        for t, m in zip(ins[1:], in_masks):
-            reach, r = divmod(best[full ^ m], R)
-            phi[t] = len(pofs[t]) + reach
-            mu[t] = mu[r]
+        masks = class_masks(index, outs, k)
+        queries = blocked_masks(index, theta, b, masks, k)[1:]
+        keys = [phi[r] * R + r for r in outs]
+        distinct = set(queries)
+        if _scans(len(distinct), len(outs), k):
+            scan += 1
+            best = {q: max([key for key, m in zip(keys, masks) if not m & q])
+                    for q in distinct}
+        else:
+            transform += 1
+            table = subset_max(zip(masks, keys), k)
+            best = {q: table[-1 - q] for q in distinct}
+        wit = {q: mu[key % R] for q, key in best.items()}
+        lo, hi = ins[1], ins[-1] + 1  # b's nonempty ingoing records
+        phi[lo:hi] = [len(p) + best[q] // R
+                      for p, q in zip(pofs[lo:hi], queries)]
+        mu[lo:hi] = map(wit.__getitem__, queries)
+    index.paths["phi"] = {"loop": loop, "scan": scan, "transform": transform}

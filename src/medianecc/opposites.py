@@ -3,98 +3,109 @@
 For a vertex m, every outgoing pof L carries the weight phi(m, L). The
 opposite of L is the maximum-weight outgoing pof disjoint from L: the first
 one disjoint from L when m's pofs are ranked by weight, size and class list.
-All opposite queries for m are answered at once, in one of two regimes set
-by k, the number of classes that occur in m's pofs:
+All opposite queries for m are answered at once, in one of three regimes,
+counted in ``index.paths["opposites"]``: "trivial", m's empty pof alone
+or with one edge; "dense" (``dense``: hypercubes, grids, most tree
+vertices), one subset-max table over the pofs' class masks
+(``class_masks``, which phi and psi read too); "memo" (hubs such as the
+centre of a large star), a table of blocked class sets
+(``opposite_records``).
 
-* dense, 2^k at most twice the pof count (hypercubes, grids, most tree
-  vertices): ``pof_masks`` makes each pof a k-bit mask, and ``subset_max``
-  over reversed rank positions gives, for every mask, the best-ranked pof
-  inside it; the opposite of L is read at the complement of L's mask.
-  phi and psi reuse both helpers at their heavy vertices.
-* sparse (hubs such as the centre of a large star): a memo table maps a
-  blocked class set to the best pof avoiding it, and a query for L blocks,
-  one at a time, the smallest class that L shares with the current best pof
-  until that pof is disjoint from L. Its keys are the nodes of the paper's
-  opposite tree.
-
-A vertex with the empty pof alone is its own opposite; with one outgoing
-edge as well, the two are each other's opposite. ``medianecc.flat_labels``
-answers the dense vertices of an index with record arrays by the same
-transform on numpy tables, and keeps the memo table for the others.
+``medianecc.flat_labels`` answers the dense vertices of an index with
+record arrays by the same keys on numpy tables, and keeps the memo table
+for the others.
 """
 from __future__ import annotations
+
+from array import array
+from bisect import bisect_right
+from functools import cache
 
 from .cubes import CubeIndex
 
 
-def pof_masks(pofs):
-    """One bit per class occurring in the distinct ``pofs``, as
-    ``(bit, mask)`` with ``mask`` mapping each pof, in input order, to the
-    OR of its classes' bits; None when the pofs use k classes with 2^k
-    above twice their count (a sparse vertex). It stops at the first class
-    past that limit, so a hub never builds a degree-sized int."""
-    limit = (2 * len(pofs)).bit_length()
-    bit, mask = {}, {}
-    for pof in pofs:
+def dense(pofs, k):
+    """Whether ``pofs`` outgoing pofs over k out-classes, ints or arrays,
+    take 2^k tables: more than two, 2^k at most twice them, k <= 30."""
+    return (pofs > 2) & (k <= 30) & (2 * pofs >> (k & 31) > 0)
+
+
+def class_masks(index: CubeIndex, outs: list, k: int) -> list:
+    """The masks in ``index.mask`` of a dense vertex's outgoing records
+    ``outs``, its k classes taking bits in ascending class order, as
+    ``flat_labels.Records.mask``. The first call fills them; the first
+    1-cube's bit then marks the vertex filled."""
+    mask = index.mask = index.mask or array("i", bytes(4 * len(index)))
+    if mask[outs[1]]:
+        return [mask[r] for r in outs]
+    pofs = index.pof
+    bit = {c: 1 << i for i, c in enumerate(
+        sorted([pofs[r][0] for r in outs[1:k + 1]]))}
+    masks = [0]
+    for r in outs[1:]:
         m = 0
-        for c in pof:
-            b = bit.get(c)
-            if b is None:
-                if len(bit) + 1 >= limit:
-                    return None
-                b = bit[c] = 1 << len(bit)
-            m |= b
-        mask[pof] = m
-    return bit, mask
+        for c in pofs[r]:
+            m |= bit[c]
+        mask[r] = m
+        masks.append(m)
+    return masks
 
 
-def subset_max(table, k) -> None:
-    """In place over k-bit masks: ``table[M]`` becomes the largest
-    ``table[S]`` over all S inside M, in k passes over the 2^k masks."""
-    size = 1 << k
+@cache
+def _ties(k: int) -> list:
+    """``|M| << k | (2^k - 1 - bitrev(M))`` for each k-bit mask M."""
+    rev = [0]
+    for _ in range(k):
+        rev = [2 * x for x in rev] + [2 * x + 1 for x in rev]
+    return [m.bit_count() << k | len(rev) - 1 - r for m, r in enumerate(rev)]
+
+
+def subset_max(items, k: int, low: int = -1) -> list:
+    """``table[M]``: the largest key of the ``(mask, key)`` items, distinct
+    k-bit masks, with mask inside M, or ``low``, in k passes over 2^k
+    slots; ``table[-1 - M]`` reads the masks disjoint from M."""
+    table = [low] * (1 << k)
+    for m, key in items:
+        table[m] = key
     for i in range(k):
         b = 1 << i
-        for m in range(size):
-            if m & b:
-                x = table[m ^ b]
-                if x > table[m]:
-                    table[m] = x
+        for m in range(b, 1 << k):
+            if m & b and table[m ^ b] > table[m]:
+                table[m] = table[m ^ b]
+    return table
+
+
+def dense_opposites(rids: list, masks: list, weight, k: int) -> list:
+    """Opposites of the records ``rids``, in input order, from their
+    distinct k-bit ``masks`` (0 among them) and ``weight[r]``. Values
+    ``weight * step - tie[mask]`` (``_ties``) rank as ``(-weight,
+    len(pof), pof)`` with bit i the i-th smallest class: of two equal-size
+    pofs, the one holding the smallest class of their difference comes
+    first, and bit-reversed, that class is the top bit."""
+    step, tie = (k + 1) << k, _ties(k)
+    values = [weight[r] * step - tie[m] for r, m in zip(rids, masks)]
+    best = subset_max(zip(masks, values), k, -step)
+    owner = dict(zip(values, rids))
+    return [owner[best[-1 - m]] for m in masks]
 
 
 def opposite_records(entries) -> list:
-    """Opposite record ids of one vertex's outgoing pofs, in input order.
+    """Opposite record ids of one vertex's outgoing pofs, in input order,
+    by a memo table.
 
     ``entries`` are that vertex's ``(pof, weight, record id)`` triples and
     must include the empty pof (weight 0): it realizes pairs where the
     vertex itself is an endpoint. The opposite of L is the first entry
     disjoint from L in the ranking by ``(-weight, len(pof), pof)``, so
     argmax ties prefer smaller pofs, then lexicographic class lists.
-    A dense vertex (``pof_masks`` gives its bits) is answered by a subset
-    transform over rank positions; any other vertex (a hub, where k is
-    about the degree) gets a memo table.
+    ``best[B]`` is the first ranked entry avoiding the blocked class set
+    B. A query for L blocks, one at a time, the smallest class that L
+    shares with the current best pof, so the entry it stops at is the
+    first ranked entry disjoint from L; the keys are the nodes of the
+    paper's opposite tree.
     """
     entries = list(entries)
     ranked = sorted(entries, key=lambda e: (-e[1], len(e[0]), e[0]))
-    dense = pof_masks([e[0] for e in entries])
-    if dense is None:
-        return _memo_opposites(entries, ranked)
-    bit, mask = dense
-    # best[M]: last - (smallest rank position of a pof inside M)
-    last = len(ranked) - 1
-    best = [-1] * (1 << len(bit))
-    for pos, e in enumerate(ranked):
-        best[mask[e[0]]] = last - pos
-    subset_max(best, len(bit))
-    full = len(best) - 1
-    return [ranked[last - best[full ^ m]][2] for m in mask.values()]
-
-
-def _memo_opposites(entries, ranked) -> list:
-    """Sparse vertex: ``best[B]`` is the first ranked entry avoiding the
-    blocked class set B. A query for L blocks, one at a time, the smallest
-    class that L shares with the current best pof; it only blocks classes
-    of L, so the entry it stops at is the first ranked entry disjoint
-    from L. The table's keys are the nodes of the paper's opposite tree."""
     empty = frozenset()
     best = {empty: ranked[0]}
     out = []
@@ -130,12 +141,22 @@ def compute_opposites(index: CubeIndex) -> None:
         return flat_labels.compute_opposites(index)
     pofs, phi = index.pof, index.phi
     opp = [0] * len(index)
+    trivial = dense_count = memo = 0
     for rids in index.outgoing:
         if len(rids) <= 2:  # () alone, or () and one edge: no table
             opp[rids[0]], opp[rids[-1]] = rids[-1], rids[0]
+            trivial += 1
             continue
-        for r, o in zip(rids, opposite_records([(pofs[r], phi[r], r)
-                                                for r in rids])):
+        # the empty pof, then the k 1-cubes
+        k = bisect_right(rids, 1, 1, key=lambda r: len(pofs[r])) - 1
+        if dense(len(rids), k):
+            found = dense_opposites(rids, class_masks(index, rids, k), phi, k)
+            dense_count += 1
+        else:
+            found = opposite_records((pofs[r], phi[r], r) for r in rids)
+            memo += 1
+        for r, o in zip(rids, found):
             opp[r] = o
     index.opp = opp
-
+    index.paths["opposites"] = {"trivial": trivial, "dense": dense_count,
+                                "memo": memo}

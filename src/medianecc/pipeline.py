@@ -27,11 +27,13 @@ class PipelineResult:
     def counters(self) -> dict:
         """What the run did: ``records``, ``levels`` from v0, the sweep
         ``pairs`` (``cubes.sweep_pairs``) and which ``sweeps`` ran, "array"
-        (``medianecc.flat_labels``) or "scalar"."""
+        (``medianecc.flat_labels``) or "scalar"; scalar sweeps add the
+        vertices per path of ``phi``, ``opposites`` and ``psi``."""
         return {"records": len(self.index),
                 "levels": max(self.theta.dist0) + 1,
                 "pairs": sweep_pairs(self.index),
-                "sweeps": "scalar" if self.index.arrays is None else "array"}
+                "sweeps": "scalar" if self.index.arrays is None else "array",
+                **self.index.paths}
 
 
 def run_pipeline(g: Graph, v0: int = 0) -> PipelineResult:

@@ -14,6 +14,7 @@ import random
 import tracemalloc
 from array import array
 
+import numpy as np
 import pytest
 
 from medianecc import (CubeIndex, build_graph, compute_opposites, compute_phi,
@@ -49,13 +50,15 @@ def labelled(g, v0, arrays):
 
 def assert_same(g, v0=0):
     """Whether the array path took some sparse opposites vertex, after
-    checking that it agrees with the scalar path."""
+    checking that it agrees with the scalar path, class masks included:
+    the scalar stages fill every dense vertex's, and leave 0 elsewhere."""
     index, report = labelled(g, v0, arrays=True)
     scalar, scalar_report = labelled(g, v0, arrays=False)
     for name in LABELS:
         assert list(getattr(index, name)) == getattr(scalar, name), name
     assert report == scalar_report
     a = index.arrays
+    assert a.mask.tolist() == list(scalar.mask or [0] * len(scalar))
     return bool((~flat_labels._dense(a) & (a.out_ptr[1:] - a.out_ptr[:-1]
                                            > 2)).any())
 
@@ -107,6 +110,25 @@ def test_peripheral_expansions():
         g = peripheral_expansion(gen_tree(rng.randrange(1, 5), seed), seed,
                                  rng.randrange(1, 40), max_n=200)
         assert_same(g, rng.randrange(g.n))
+
+
+def test_dense_masks_match_the_scalar_store():
+    # one dense rule and one mask layout on both paths: at every dense
+    # vertex the masks agree and give each out-class its own bit
+    for g in (gen_hypercube(5), gen_grid(6, 7), cartesian_product(
+            gen_hypercube(3), gen_tree(9, 4))):
+        index, _ = labelled(g, 0, arrays=True)
+        scalar, _ = labelled(g, 0, arrays=False)
+        a = index.arrays
+        dense = flat_labels._dense(a)
+        assert dense.any()
+        for b in np.flatnonzero(dense).tolist():
+            outs = scalar.outgoing[b]
+            k = int(a.outdeg[b])
+            assert [a.mask[r] for r in outs] == [scalar.mask[r]
+                                                 for r in outs]
+            assert sorted(scalar.mask[r] for r in outs[1:k + 1]) == \
+                [1 << i for i in range(k)]
 
 
 def test_sweep_pairs_counts_the_pairs(small_corpus):

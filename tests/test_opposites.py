@@ -7,7 +7,7 @@ from medianecc import (build_graph, compute_phi, compute_opposites,
                        compute_theta, enumerate_cubes, run_pipeline)
 from medianecc.generators import (cartesian_product, fixture, gen_grid,
                                   gen_hypercube, gen_tree)
-from medianecc.opposites import _memo_opposites, opposite_records
+from medianecc.opposites import dense, dense_opposites, opposite_records
 
 from helpers import (brute_eccentricities, diameter_via_upsilon,
                      scan_opposites, upsilon)
@@ -105,19 +105,27 @@ def _random_family(rng, closed):
     return [(p, rng.randint(1, 3), 1000 + i) for i, p in enumerate(family)]
 
 
-def test_opposite_records_match_scan_on_random_families(monkeypatch):
-    memo_calls = []
-    monkeypatch.setattr("medianecc.opposites._memo_opposites",
-                        lambda *a: memo_calls.append(1) or _memo_opposites(*a))
+def test_opposite_records_match_scan_on_random_families():
+    # dense families (2^k at most twice their count over k classes) go to
+    # the mask transform, with bit i the i-th smallest class, and the
+    # others to the memo table, which answers any family
     rng = random.Random(4)
     sparse = 0
     for i in range(20000):
         entries = _random_family(rng, closed=i % 2 == 0)
-        k = len({c for p, _, _ in entries for c in p})
+        classes = sorted({c for p, _, _ in entries for c in p})
+        k = len(classes)
         is_sparse = 2 ** k > 2 * len(entries)
-        del memo_calls[:]
-        assert opposite_records(entries) == scan_opposites(entries), entries
-        assert len(memo_calls) == is_sparse, entries
+        expected = scan_opposites(entries)
+        assert opposite_records(entries) == expected, entries
+        assert dense(len(entries), k) == (not is_sparse and
+                                          len(entries) > 2), entries
+        if not is_sparse:
+            bit = {c: 1 << j for j, c in enumerate(classes)}
+            masks = [sum(bit[c] for c in p) for p, _, _ in entries]
+            weight = {r: w for _, w, r in entries}
+            assert dense_opposites([r for _, _, r in entries], masks,
+                                   weight, k) == expected, entries
         sparse += is_sparse
     # both regimes are exercised
     assert 0 < sparse < 20000 / 2, sparse

@@ -8,10 +8,12 @@ from helpers import (brute_phi_table, is_pof, ladder_set_oracle,
                      ortho_pairs, record_id, scan_phi, scan_psi)
 
 from medianecc import (build_graph, compute_opposites, compute_phi,
-                       compute_psi, compute_theta, enumerate_cubes)
+                       compute_psi, compute_theta, enumerate_cubes,
+                       run_pipeline)
 from medianecc.generators import (cartesian_product, fixture, gen_hypercube,
                                   gen_tree, peripheral_expansion)
-from medianecc.labels import local_masks
+from medianecc.labels import blocked_masks
+from medianecc.opposites import class_masks, dense
 from medianecc.oracle import distance_matrix
 
 # a strip of squares climbing from the basepoint into a 3-cube; vertex 2
@@ -82,20 +84,9 @@ def test_phi_matches_brute_table_with_valid_witnesses(small_corpus):
             assert lad == index.pof[rid], (name, key)
 
 
-def test_labels_match_pair_scans(monkeypatch, small_corpus):
-    # heavy vertices take the subset-max transform, light ones the pair
-    # loop; both must give the plain record sweeps' labels and witnesses
-    paths = {"labels": [0, 0], "eccentricity": [0, 0]}  # [visited, heavy]
-
-    def counting(stage):
-        def wrapped(*args):
-            out = local_masks(*args)
-            paths[stage][1] += out is not None
-            return out
-        return wrapped
-
-    for stage in paths:
-        monkeypatch.setattr(f"medianecc.{stage}.local_masks", counting(stage))
+def sweep_corpus(small_corpus):
+    """The small corpus and heavier families for the sweeps' three paths,
+    as ``(name, graph, *basepoint)``."""
     graphs = list(small_corpus)
     graphs += [(f"cube{k}", gen_hypercube(k)) for k in range(1, 8)]
     for b, seed in [(8, 1), (12, 2)]:  # Q3 x tree is all light, Q4 x tree not
@@ -108,8 +99,28 @@ def test_labels_match_pair_scans(monkeypatch, small_corpus):
     # tie with an ingoing psi that has another witness
     g = peripheral_expansion(gen_tree(1, 0), 116, 40, max_n=400)
     graphs.append(("expand116_40", g, g.n - 1))
+    # a heavy vertex with more distinct blocked masks than the scan pays
+    # for: both sweeps take the transform there
+    graphs.append(("expand66_30", peripheral_expansion(gen_tree(1, 0), 66,
+                                                       30, max_n=300)))
+    return graphs
+
+
+SWEEP_PATHS = ("loop", "scan", "transform")
+
+
+def test_labels_match_pair_scans(monkeypatch, small_corpus):
+    # each path of each sweep (the pair loop, the distinct-mask scan and
+    # the transform) must give the plain record sweeps' labels and
+    # witnesses
+    graphs = sweep_corpus(small_corpus)
 
     def check():
+        """Path counts per stage, and the vertices each sweep visits:
+        those with some ingoing cube, and with some outgoing cube."""
+        paths = {stage: dict.fromkeys(SWEEP_PATHS, 0)
+                 for stage in ("phi", "psi")}
+        visited = {"phi": 0, "psi": 0}
         for name, g, *v0 in graphs:
             theta = compute_theta(g, *v0)
             index = enumerate_cubes(g, theta)
@@ -119,19 +130,88 @@ def test_labels_match_pair_scans(monkeypatch, small_corpus):
             compute_psi(index, theta)
             assert (index.psi, index.psi_witness) == scan_psi(index, theta), \
                 name
-            # the vertices each sweep visits: some ingoing, some outgoing cube
-            paths["labels"][0] += sum(len(ids) > 1 for ids in index.ingoing)
-            paths["eccentricity"][0] += sum(len(ids) > 1
-                                            for ids in index.outgoing)
+            for stage in paths:
+                for path, count in index.paths[stage].items():
+                    paths[stage][path] += count
+            visited["phi"] += sum(len(ids) > 1 for ids in index.ingoing)
+            visited["psi"] += sum(len(ids) > 1 for ids in index.outgoing)
+        for stage in paths:
+            assert sum(paths[stage].values()) == visited[stage], paths
+        return paths
 
-    check()
-    # both paths ran in both stages: some visited vertices light, some heavy
-    assert all(visited > heavy > 0 for visited, heavy in paths.values()), \
-        paths
-    # again with every dense vertex on the transform, so its tie rules meet
-    # ties that light vertices see
-    monkeypatch.setattr("medianecc.labels._transform_cost", lambda k, n: -1)
-    check()
+    # as the rules stand, every path runs in both stages: most visited
+    # vertices light, some heavy
+    for stage, count in check().items():
+        assert count["loop"] > count["scan"] + count["transform"], count
+        assert count["scan"] > 0 and count["transform"] > 0, count
+    # then each path in turn at every vertex that can take it, so the
+    # tie rules of each meet the ties the others see
+    monkeypatch.setattr("medianecc.labels._heavy_cost",
+                        lambda k, n: 1 << 62)
+    for count in check().values():
+        assert count["scan"] == count["transform"] == 0, count
+    monkeypatch.setattr("medianecc.labels._heavy_cost", lambda k, n: -1)
+    for scans in (True, False):
+        monkeypatch.setattr("medianecc.labels._scans", lambda *a: scans)
+        taken, other = ("scan", "transform") if scans else \
+            ("transform", "scan")
+        for count in check().values():
+            assert count[taken] > 0 and count[other] == 0, count
+
+
+def test_sweep_path_counters(small_corpus):
+    # Q_d: every class blocks every nonempty record, so each heavy vertex
+    # has one distinct blocked mask and scans; the small corpus with the
+    # sweeps' heavier families reaches every path
+    for d in range(3, 10):
+        counters = run_pipeline(gen_hypercube(d)).counters
+        assert counters["phi"]["transform"] == 0, (d, counters)
+        assert counters["psi"]["transform"] == 0, (d, counters)
+        assert sum(counters["opposites"].values()) == 1 << d
+        assert counters["opposites"]["memo"] == 0
+    reached = set()
+    for name, g, *v0 in sweep_corpus(small_corpus):
+        counters = run_pipeline(g, *v0).counters
+        assert sum(counters["opposites"].values()) == g.n, name
+        reached |= {(stage, path) for stage in ("phi", "psi", "opposites")
+                    for path, count in counters[stage].items() if count}
+    assert reached == {(stage, path) for stage in ("phi", "psi")
+                       for path in SWEEP_PATHS} | {
+        ("opposites", path) for path in ("trivial", "dense", "memo")}
+
+
+def test_blocked_masks_follow_the_one_cubes(small_corpus):
+    # the recurrence over the ingoing classes gives, for every ingoing
+    # record t of a dense vertex b, the bits of b's classes incident to
+    # t's basis
+    rng = random.Random(17)
+    graphs = [g for _, g in small_corpus]
+    graphs += [gen_hypercube(k) for k in range(1, 9)]
+    for seed in range(300):
+        graphs.append(peripheral_expansion(gen_tree(rng.randrange(1, 5),
+                                                    seed), seed,
+                                           rng.randrange(1, 40), max_n=200))
+    dense_vertices = 0
+    for g in graphs:
+        theta = compute_theta(g, rng.randrange(g.n))
+        index = enumerate_cubes(g, theta)
+        for b, outs in enumerate(index.outgoing):
+            k = len(theta.incident[b]) - len(theta.in_classes[b])
+            if not dense(len(outs), k):
+                continue
+            dense_vertices += 1
+            masks = class_masks(index, outs, k)
+            bits = {index.pof[r][0]: m for r, m in zip(outs[1:k + 1],
+                                                       masks[1:k + 1])}
+            # one bit per class, in ascending class order
+            assert [bits[c] for c in sorted(bits)] == [1 << i
+                                                       for i in range(k)]
+            found = blocked_masks(index, theta, b, masks, k)
+            assert len(found) == len(index.ingoing[b])
+            for t, m in zip(index.ingoing[b], found):
+                at = theta.incident[index.basis[t]]
+                assert m == sum(bit for c, bit in bits.items() if c in at)
+    assert dense_vertices > 1000, dense_vertices
 
 
 def test_ladder_set_of_a_vertex_with_itself_is_empty(small_corpus):
