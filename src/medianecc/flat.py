@@ -8,19 +8,22 @@ code, which raises the error and message it always has. So both paths
 give the same results and errors. The label stages after the cube
 enumeration have their own array path, ``medianecc.flat_labels``.
 
-- ``load_graph`` parses a plain text (decimal digits, blanks and
+- ``load_graph`` parses a plain text (ASCII decimal digits, blanks and
   newlines, as ``save_graph`` writes) in one ``np.loadtxt`` call; any
   other text, comments and CRLF included, is left to the line scanner.
   It then checks ids, self-loops, duplicate edges (as sorted
-  ``min*n + max`` keys) and connectivity (``min_labels``) on arrays.
+  ``min*n + max`` keys) and connectivity (``min_labels``) on arrays, and
+  returns a ``Graph`` that holds the parsed edge ends (``Graph.ends``);
+  its ``edges`` tuple is built only if something reads it.
 - ``compute_theta`` takes distances from v0, checks that no edge joins
   equal levels and no vertex has over ``theta.MAX_DIM`` ingoing edges,
   pairs the ingoing edges of each vertex and finds each pair's common
   lower neighbours by ``searchsorted`` on the sorted (head, tail) keys of
   the edges, relates the opposite sides of each square, takes the classes
   as ``min_labels`` components ranked by their smallest edge id, and
-  checks the class counts and that every class is a matching. It never
-  reads ``Graph.neighbors``. It keeps its arrays (``ThetaArrays``), which
+  checks the class counts and that every class is a matching. It reads
+  the edges from ``Graph.ends`` where the graph has them, and never reads
+  ``Graph.neighbors``. It keeps its arrays (``ThetaArrays``), which
   the cube walk reads; theta's ``edge_class``, ``incident`` and
   ``in_classes`` are built from them only on first read.
 
@@ -37,7 +40,6 @@ numpy and sends grids from 100 x 100 up to the flat path, where it saves
 from __future__ import annotations
 
 import io
-import re
 from itertools import chain, islice, repeat
 from functools import cached_property
 from typing import Optional
@@ -52,15 +54,16 @@ from .graph import Graph
 # their transient arrays
 _CHUNK = 1 << 15
 
-# Any character but a digit, blank or newline (``#`` and ``\r`` among
-# them) leaves a text to the line scanner.
-_NOT_PLAIN = re.compile(r"[^0-9 \t\n]")
+# The characters of a plain text; any other (``#``, ``\r`` and every
+# non-ASCII one among them) leaves a text to the line scanner.
+_PLAIN = b"0123456789 \t\n"
 
 
 def load_graph(text: str) -> Optional[Graph]:
     """The graph of a plain edge-list text; None for any other text and
     where a check fails."""
-    if _NOT_PLAIN.search(text) or not text.strip():
+    if not (text.isascii() and text.strip()) or \
+            text.encode("ascii").translate(None, _PLAIN):
         return None
     try:
         rows = np.loadtxt(io.StringIO(text), dtype=np.int64, ndmin=2,
@@ -69,13 +72,14 @@ def load_graph(text: str) -> Optional[Graph]:
         return None
     if rows.shape[1] != 2 or rows[0, 1] != len(rows) - 1:
         return None
-    return _build(int(rows[0, 0]), rows[1:, 0], rows[1:, 1])
+    return _build(int(rows[0, 0]), rows[1:].ravel())
 
 
-def _build(n: int, u, v) -> Optional[Graph]:
-    """The graph of the edges ``(u[i], v[i])``; None when a check fails."""
-    m = len(u)
-    if n < 1 or m < n - 1:
+def _build(n: int, ends) -> Optional[Graph]:
+    """The graph of the edges ``(ends[2i], ends[2i + 1])``, an int64 array
+    that it keeps; None when a check fails."""
+    u, v = ends[0::2], ends[1::2]
+    if n < 1 or len(u) < n - 1:
         return None
     if ((u < 0) | (u >= n) | (v < 0) | (v >= n) | (u == v)).any():
         return None
@@ -83,8 +87,9 @@ def _build(n: int, u, v) -> Optional[Graph]:
     keys = np.sort(lo * n + hi)
     if (keys[1:] == keys[:-1]).any() or min_labels(n, lo, hi).any():
         return None
-    ids = np.array(range(n), dtype=object)  # one int object per vertex
-    return Graph(n=n, edges=tuple(zip(ids[u].tolist(), ids[v].tolist())))
+    g = Graph.__new__(Graph)  # no edges tuple: Graph.edges builds it
+    vars(g).update(n=n, ends=ends)
+    return g
 
 
 def min_labels(count: int, a, b):
@@ -144,8 +149,10 @@ def compute_theta(g: Graph, v0: int) -> Optional[theta.ThetaDecomposition]:
     """The theta decomposition of g from v0, with its ``ThetaArrays``;
     None when a check fails."""
     n, m = g.n, g.m
-    ends = np.fromiter(chain.from_iterable(g.edges), dtype=np.int64,
-                       count=2 * m)
+    ends = g.ends
+    if ends is None:  # a graph built from pairs
+        ends = np.fromiter(chain.from_iterable(g.edges), dtype=np.int64,
+                           count=2 * m)
     # each vertex's neighbours in edge order (the keys are distinct, so
     # the fast sort keeps it); the other end of end i is ends[i ^ 1]
     adj = np.array(range(n), dtype=object)[ends[np.argsort(

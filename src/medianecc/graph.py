@@ -8,13 +8,14 @@ from outside the program; the generators build valid graphs directly.
 Texts of ``FLAT_MIN_EDGES`` lines or more are parsed and validated on
 numpy arrays by ``medianecc.flat``, which is imported only then; where it
 refuses a text, the line scanner and the per-edge checks here raise the
-error and message they always have. ``Graph.neighbors`` is built on first
-read, and the pipeline never reads it on the flat path.
+error and message they always have. A graph that flat parsed keeps its
+edge-end array (``Graph.ends``) and builds the ``edges`` tuple from it only
+on first read. ``Graph.neighbors`` is built on first read too; the
+pipeline reads neither on the flat path.
 """
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Sequence
 
@@ -41,16 +42,45 @@ class GraphValidationError(_LineError):
     """A parsed edge list violates the graph invariants."""
 
 
-@dataclass(frozen=True, eq=True)
 class Graph:
-    """Simple connected undirected graph, read-only after construction."""
+    """Simple connected undirected graph, read-only after construction.
 
-    n: int
-    edges: tuple[tuple[int, int], ...]
+    ``edges`` holds the ``(u, v)`` pairs in input order. A graph parsed by
+    ``medianecc.flat`` holds its edge ends instead, as the int64 array
+    ``ends`` (``u0 v0 u1 v1 ...``; None on every other graph): ``m`` reads
+    its length, and ``edges`` is built from it on first read, sharing one
+    int object per vertex id. ``==`` and ``hash`` compare ``n`` and ``edges``.
+    """
+
+    ends = None
+
+    def __init__(self, n: int, edges: tuple[tuple[int, int], ...]):
+        vars(self).update(n=n, edges=edges)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot set {name!r}: a Graph is read-only")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.n, self.edges) == (other.n, other.edges)
+
+    def __hash__(self):
+        return hash((self.n, self.edges))
+
+    def __repr__(self):
+        return f"Graph(n={self.n!r}, edges={self.edges!r})"
 
     @property
     def m(self) -> int:
-        return len(self.edges)
+        return len(self.edges) if self.ends is None else len(self.ends) // 2
+
+    @cached_property
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        import numpy as np  # loaded already: only flat sets ends
+        ids = np.array(range(self.n), dtype=object)  # one int per vertex
+        ends = iter(ids[self.ends].tolist())
+        return tuple(zip(ends, ends))
 
     @cached_property
     def neighbors(self) -> tuple[dict[int, int], ...]:

@@ -28,7 +28,7 @@ from helpers import doctored, near_median_graphs
 
 from medianecc import (CubeIndex, build_graph, compute_theta,
                        enumerate_cubes, load_graph, run_pipeline, save_graph)
-from medianecc import cubes, flat, flat_labels
+from medianecc import cli, cubes, flat, flat_labels
 from medianecc import graph as graph_mod
 from medianecc import theta as theta_mod
 from medianecc.generators import (cartesian_product, gen_grid,
@@ -68,13 +68,19 @@ def assert_same_theta(g, v0):
 
 def build_both(n, edges):
     """Outcomes of flat._build and of build_graph on an edge list."""
-    pairs = np.array(edges, dtype=np.int64).reshape(-1, 2)
-    return (flat._build(n, pairs[:, 0], pairs[:, 1]),
+    return (flat._build(n, np.array(edges, dtype=np.int64).reshape(-1)),
             outcome(graph_mod.build_graph, n, edges))
 
 
 def assert_same_graph(flat_graph, scalar):
+    """The flat graph holds edge ends, not pairs: its ``m`` reads them, and
+    the pairs built on first read (by ``hash``) share one int per id."""
+    assert flat_graph.m == scalar.m and "edges" not in vars(flat_graph)
+    assert hash(flat_graph) == hash(scalar)
     assert flat_graph == scalar
+    assert flat_graph.edges == scalar.edges
+    ids = [x for edge in flat_graph.edges for x in edge]
+    assert len(set(map(id, ids))) == len(set(ids))
     assert [list(d.items()) for d in flat_graph.neighbors] == \
         [list(d.items()) for d in scalar.neighbors]
 
@@ -165,6 +171,45 @@ def test_large_input_builds_no_neighbor_maps():
     assert g.m >= graph_mod.FLAT_MIN_EDGES and g == grid
     run_pipeline(g)
     assert "neighbors" not in vars(g)
+
+
+def test_large_input_builds_no_edge_tuple():
+    # flat theta reads the parsed edge ends; only == builds the pairs
+    grid = gen_grid(120, 120)
+    g = load_graph(save_graph(grid))
+    assert g.ends is not None and g.m == grid.m
+    run_pipeline(g)
+    assert "edges" not in vars(g)
+    assert g == grid and g.edges == grid.edges
+
+
+def test_refused_large_text_falls_back_to_the_scalar_code(tmp_path, capsys,
+                                                         monkeypatch):
+    # a 130 x 130 grid and a chord between vertices 2 and 131, both two
+    # steps from vertex 0: flat theta refuses it, and the scalar code reads
+    # the edge pairs, built from the ends, to name the fault
+    grid = gen_grid(130, 130)
+    edges = [*grid.edges, (2, 131)]
+    text = save_graph(graph_mod.Graph(grid.n, tuple(edges)))
+    g = load_graph(text)
+    assert g.ends is not None and flat.compute_theta(g, 0) is None
+    message = ("edge (2, 131) joins vertices at equal distance from the "
+               "basepoint; graph is not bipartite")
+    with pytest.raises(theta_mod.NonMedianGraphError) as flat_err:
+        run_pipeline(g)
+    with pytest.raises(theta_mod.NonMedianGraphError) as scalar_err:
+        run_pipeline(build_graph(grid.n, edges))
+    assert str(flat_err.value) == str(scalar_err.value) == message
+
+    path = tmp_path / "chord.txt"
+    path.write_text(text, encoding="utf-8")
+    outputs = []
+    for cut in (graph_mod.FLAT_MIN_EDGES, len(text)):  # flat, line scanner
+        monkeypatch.setattr(graph_mod, "FLAT_MIN_EDGES", cut)
+        assert cli.main(["check", str(path)]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1] == (
+        f"bipartite false\nmedian false\nrefused: {message}\n")
 
 
 def test_large_input_builds_no_index_lists():

@@ -61,8 +61,10 @@ P3 = (3, ((0, 1), (1, 2)))
 COMMENTED = "# c\n3 2\n  # indented\n0 1\n#x\n1 2\n"
 CRLF = PATH.replace("\n", "\r\n")
 PLUS = "3 2\n0 +1\n+1 2\n"
+FULL_WIDTH = "\uff13 \uff12\n\uff10 \uff11\n\uff11 \uff12\n"  # digits
+NO_BREAK = "3 2\n0\u00a01\n1 2\n"  # a no-break space between ids
 # valid texts that the flat parser leaves to the line scanner
-SCANNER_ONLY = {COMMENTED, CRLF, PLUS}
+SCANNER_ONLY = {COMMENTED, CRLF, PLUS, FULL_WIDTH, NO_BREAK}
 
 
 @pytest.mark.parametrize("text,expected", [
@@ -91,6 +93,8 @@ SCANNER_ONLY = {COMMENTED, CRLF, PLUS}
      (GraphFormatError, None, "header declares 2 edges but 1 were given")),
     ("3 3\n0 1\n1 2\n1 0\n",
      (GraphValidationError, 4, "line 4: duplicate edge (1, 0)")),
+    (FULL_WIDTH, P3),
+    (NO_BREAK, P3),
 ])
 @pytest.mark.parametrize("path", ["default", "flat-first"])
 def test_input_language(text, expected, path, monkeypatch):
