@@ -37,7 +37,7 @@ theta's checks, which give simple connectivity and rule out induced
 K_2,3, ``enumerate_cubes`` then accepts exactly the median graphs.
 
 Last, on arrays, ``flat_labels``' rule decides whether the label stages
-run on them too, and ``CubeIndex.arrays`` then holds the record arrays.
+run on them too, and ``CubeIndex.records`` then holds the record arrays.
 """
 from __future__ import annotations
 
@@ -61,19 +61,19 @@ class CubeIndex:
     led by its empty pof, so ``basis[ingoing[v][0]] == v``. The labels
     ``phi``, ``mu``, ``opp``, ``psi`` and ``psi_witness`` are None until
     the stage that fills them allocates them: lists, or ``array('i')``
-    buffers where ``arrays`` holds the record arrays of
+    buffers where ``records`` holds the record arrays of
     ``medianecc.flat_labels``. Scalar stages fill ``mask``
     (``opposites.class_masks``) and ``paths``, vertices per path.
 
-    Above the cut, where the label stages run on arrays, ``records`` and
-    ``arrays`` hold ``flat_labels.Records``; the lists are views of it.
+    ``records`` is set, to ``flat_labels.Records``, exactly where the label
+    stages run on arrays; the lists are then views of it.
     """
 
     def __init__(self, n: int):
         self.n = n
         self.dimension = 0
         self.phi = self.mu = self.opp = self.psi = self.psi_witness = None
-        self.arrays = self.records = self.mask = None
+        self.records = self.mask = None
         self.paths = {}
 
     def __len__(self) -> int:
@@ -127,7 +127,7 @@ def enumerate_cubes(g: Graph, theta: ThetaDecomposition) -> CubeIndex:
             if n >= flat_labels.MIN_WIDTH * (int(arrays.level.max()) + 1) \
                     and sweep_pairs(index) <= flat_labels.PAIRS_PER_RECORD * \
                     len(index):
-                index.arrays = flat_labels.build(records)
+                flat_labels.build(records)
             else:  # the scalar sweeps read the lists: keep those alone
                 vars(index).update((name, records.tolist(name)) for name in (
                     "order", "basis", "pof", "outgoing", "ingoing"))

@@ -58,7 +58,7 @@ def compute_psi(index: CubeIndex, theta: ThetaDecomposition) -> None:
     """
     if index.opp is None:
         raise RuntimeError("compute_opposites must run before compute_psi")
-    if index.arrays is not None:
+    if index.records is not None:
         from . import flat_labels
         return flat_labels.compute_psi(index)
     incident, in_classes = theta.incident, theta.in_classes
@@ -132,7 +132,7 @@ def eccentricities(index: CubeIndex) -> EccReport:
     """
     if index.psi is None:
         raise RuntimeError("compute_psi must run before eccentricities")
-    if index.arrays is not None:
+    if index.records is not None:
         from . import flat_labels
         return flat_labels.eccentricities(index)
     phi, mu = index.phi, index.mu

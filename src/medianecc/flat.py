@@ -21,11 +21,10 @@ enumeration have their own array path, ``medianecc.flat_labels``.
   lower neighbours by ``searchsorted`` on the sorted (head, tail) keys of
   the edges, relates the opposite sides of each square, takes the classes
   as ``min_labels`` components ranked by their smallest edge id, and
-  checks the class counts and that every class is a matching. It reads
-  the edges from ``Graph.ends`` where the graph has them, and never reads
-  ``Graph.neighbors``. It keeps its arrays (``ThetaArrays``), which
-  the cube walk reads; theta's ``edge_class``, ``incident`` and
-  ``in_classes`` are built from them only on first read.
+  checks the class counts and that every class is a matching. It keeps
+  its arrays (``ThetaArrays``), ``Graph.ends`` itself among them where the
+  graph has it, and never reads ``Graph.neighbors``; the cube walk reads
+  them, and theta's four indexes are built from them only on first read.
 
 The cut weighs two measured costs (2-vCPU x86 host, CPython 3.11,
 numpy 2.4). Per call, with numpy loaded, the flat path is faster from the
@@ -117,16 +116,19 @@ def min_labels(count: int, a, b):
 
 
 class ThetaArrays:
-    """What flat theta keeps, int32 arrays: ``level`` (``dist0``), the
-    edge ends ``ends`` (``u0 v0 u1 v1 ...``) and classes ``cls``, and the
-    ``kin[v]`` ingoing edges of each vertex v, their classes ascending at
-    ``in_ptr[v]:in_ptr[v + 1]`` of ``in_cls`` and their lower ends in
-    ``in_tail``. Lists built from them share the ints of ``ids``, one
-    object per id, as the scalar path's lists share theirs."""
+    """What flat theta keeps: the graph's int64 edge ends ``ends`` (``u0 v0
+    u1 v1 ...``), and int32 arrays ``level`` (``dist0``), the classes
+    ``cls``, and the ``kin[v]`` ingoing edges of each vertex v, their
+    classes ascending at ``in_ptr[v]:in_ptr[v + 1]`` of ``in_cls`` and their
+    lower ends in ``in_tail``. Lists built from them share the ints of
+    ``ids``, one object per id, as the scalar path's lists share theirs."""
 
     @cached_property
     def ids(self):
         return np.array(range(len(self.level)), dtype=object)
+
+    def dist0(self) -> list:
+        return self.ids[self.level].tolist()
 
     def edge_class(self) -> list:
         return self.ids[self.cls].tolist()
@@ -157,13 +159,13 @@ def compute_theta(g: Graph, v0: int) -> Optional[theta.ThetaDecomposition]:
     # the fast sort keeps it); the other end of end i is ends[i ^ 1]
     adj = np.array(range(n), dtype=object)[ends[np.argsort(
         ends * (2 * m) + np.arange(2 * m)) ^ 1]].tolist()
-    dist0 = _levels(v0, adj, [0, *np.cumsum(np.bincount(
-        ends, minlength=n)).tolist()])
+    level = np.array(_levels(v0, adj, [0, *np.cumsum(np.bincount(
+        ends, minlength=n)).tolist()]), np.int32)
     del adj
-    t = _classes(n, ends, np.array(dist0))
+    t = _classes(n, ends, level)
     if t is None:
         return None
-    return theta.ThetaDecomposition(v0=v0, dist0=dist0, q=t.q, arrays=t)
+    return theta.ThetaDecomposition(v0=v0, q=t.q, arrays=t)
 
 
 def _chunks(weights):
@@ -194,13 +196,13 @@ def _levels(v0: int, adj: list, start: list) -> list:
     return dist
 
 
-def _classes(n: int, ends, dist) -> Optional[ThetaArrays]:
+def _classes(n: int, ends, level) -> Optional[ThetaArrays]:
     """The classes of the edges (ranked by smallest edge id) and the
     ingoing keys, from the edge ends and the distances; None when a check
     of compute_theta fails."""
     m = len(ends) // 2
     u, v = ends[0::2], ends[1::2]
-    du, dv = dist[u], dist[v]
+    du, dv = level[u], level[v]
     if (du == dv).any():
         return None
     head = np.where(du < dv, v, u)
@@ -254,8 +256,7 @@ def _classes(n: int, ends, dist) -> Optional[ThetaArrays]:
         return None  # a class with two edges at one vertex
     t = ThetaArrays()
     by = np.argsort(head * q + cls)
-    t.q = q
-    t.level, t.ends, t.cls, t.kin, t.in_ptr, t.in_cls, t.in_tail = (
-        a.astype(np.int32) for a in (dist, ends, cls, indegree, low, cls[by],
-                                     tail[by]))
+    t.q, t.level, t.ends = q, level, ends
+    t.cls, t.kin, t.in_ptr, t.in_cls, t.in_tail = (
+        a.astype(np.int32) for a in (cls, indegree, low, cls[by], tail[by]))
     return t

@@ -4,7 +4,7 @@ psi and the eccentricity assembly on them for wide levels and few pairs.
 ``cubes.enumerate_cubes`` walks a theta with arrays (from
 ``graph.FLAT_MIN_EDGES`` edges, where ``medianecc.flat`` has loaded numpy)
 by ``walk`` and ``links`` into a ``Records`` store; where the rule below
-holds, ``build`` completes it and ``CubeIndex.arrays`` holds it, and
+holds, ``build`` completes it, ``CubeIndex.records`` keeps it, and
 ``compute_phi``, ``compute_opposites``, ``compute_psi`` and
 ``eccentricities`` run the functions of the same names here. They give the
 scalar code's labels, witnesses and tie-breaks; the labels are
@@ -55,7 +55,7 @@ import numpy as np
 from .cubes import CubeIndex
 from .eccentricity import EccReport
 from .flat import _CHUNK, _chunks
-from .opposites import dense, opposite_records
+from .opposites import _ties, dense, opposite_records
 from .theta import MAX_DIM, ThetaDecomposition
 
 MIN_WIDTH = 8
@@ -212,8 +212,8 @@ def _find(t, y, c):
     return at, (at < base + k) & (np.take(t.in_cls, at, mode="clip") == c)
 
 
-def build(a: Records) -> Records:
-    """``a`` with the out-degrees, dense masks and unblocked sweep pairs
+def build(a: Records) -> None:
+    """Add to ``a`` the out-degrees, dense masks and unblocked sweep pairs
     of its records."""
     t = a.theta.arrays
     n, R = len(a.start), len(a.basis)
@@ -282,7 +282,6 @@ def build(a: Records) -> Records:
            if g == 0 or level != glevel[g - 1]]
     new.append(len(glevel))
     a.levels = [(at[g], at[h]) for g, h in zip(new, new[1:]) if at[g] < at[h]]
-    return a
 
 
 def _ranges(first, lens):
@@ -373,7 +372,7 @@ def compute_phi(index: CubeIndex) -> None:
     """phi/mu level by level from the far end: each t takes the best of its
     pairs' ``phi[r] * R + r`` (ties to the larger r), or, with none, its
     vertex b itself at distance |pof(t)|."""
-    a, R = index.arrays, len(index)
+    a, R = index.records, len(index)
     index.phi, phi = _labels(R)
     index.mu, mu = _labels(R)
     phi[:] = a.size
@@ -394,12 +393,12 @@ def compute_phi(index: CubeIndex) -> None:
 def compute_opposites(index: CubeIndex) -> None:
     """``opposites.compute_opposites`` on arrays: a vertex with one or two
     outgoing pofs pairs them; a dense vertex with k classes gets a
-    ``2^k`` table of ranking keys, ``((max phi - phi) * (k + 1) + |pof|)
-    * 2^k + (2^k - 1 - bitrev(mask))``, which orders as ``(-phi, len,
-    pof)`` (of two equal-size pofs, the one with the lowest class of their
-    difference comes first), and k ``np.minimum`` passes give each mask
-    the best key inside it; any other vertex keeps the memo table."""
-    a, R = index.arrays, len(index)
+    ``2^k`` table of ranking keys, ``(max phi - phi) * (k + 1) * 2^k +
+    opposites._ties(k)[mask]``, which orders as ``(-phi, len, pof)`` (of
+    two equal-size pofs, the one with the lowest class of their difference
+    comes first), and k ``np.minimum`` passes give each mask the best key
+    inside it; any other vertex keeps the memo table."""
+    a, R = index.records, len(index)
     index.opp, opp = _labels(R)
     phi = _view(index.phi)
     pofs = np.diff(a.out_ptr)
@@ -417,10 +416,7 @@ def compute_opposites(index: CubeIndex) -> None:
     dense = np.flatnonzero(dense)
     top = int(phi.max(initial=0))
     for k in np.unique(a.outdeg[dense]).tolist():
-        full = (1 << k) - 1
-        rev = np.zeros(full + 1, np.int64)
-        for i in range(k):
-            rev |= ((np.arange(full + 1) >> i) & 1) << (k - 1 - i)
+        full, step, ties = (1 << k) - 1, (k + 1) << k, np.array(_ties(k))
         group = dense[a.outdeg[dense] == k]
         for part in _chunks(pofs[group]):
             vs = group[part]
@@ -428,13 +424,11 @@ def compute_opposites(index: CubeIndex) -> None:
             row = np.repeat(np.arange(len(vs)), lens)
             rec = a.out[_ranges(a.out_ptr[vs], lens)]
             mask = a.mask[rec]
-            tie = full - rev[mask]
-            key = (top - phi[rec].astype(np.int64)) * (k + 1) + a.size[rec]
-            key = key << k | tie
+            key = (top - phi[rec].astype(np.int64)) * step + ties[mask]
             best = np.full((len(vs), full + 1), np.iinfo(np.int64).max)
             best[row, mask] = key
             owner = np.empty((len(vs), full + 1), np.int32)
-            owner[row, tie] = rec
+            owner[row, key & full] = rec
             for i in range(k):
                 view = best.reshape(len(vs), -1, 2, 1 << i)
                 np.minimum(view[:, :, 1], view[:, :, 0], out=view[:, :, 1])
@@ -446,7 +440,7 @@ def compute_psi(index: CubeIndex) -> None:
     then the (level, mask) groups, nearest level first and masks ascending,
     raise it where an ingoing psi is strictly larger, so the opposite wins
     ties, then the smallest t."""
-    a, R = index.arrays, len(index)
+    a, R = index.records, len(index)
     index.psi, psi = _labels(R)
     index.psi_witness, psiw = _labels(R)
     phi, mu, opp = _view(index.phi), _view(index.mu), _view(index.opp)
@@ -468,7 +462,7 @@ def eccentricities(index: CubeIndex) -> EccReport:
     """Per vertex, the largest ``label * n + (n - 1 - witness)`` over its
     outgoing phi and ingoing psi keeps the smallest witness. The lists
     share their ints: one object per vertex and per value."""
-    a, n = index.arrays, index.n
+    a, n = index.records, index.n
     phi, mu = _view(index.phi), _view(index.mu)
     psi, psiw = _view(index.psi), _view(index.psi_witness)
     key = phi[a.out].astype(np.int64)
@@ -483,7 +477,7 @@ def eccentricities(index: CubeIndex) -> EccReport:
                                np.maximum.reduceat(key, a.start[a.order]))
     del key
     ecc, wit = np.divmod(best + (n - 1), n)
-    ids = index.records.theta.arrays.ids
+    ids = a.theta.arrays.ids
     ecc, wit = ids[ecc].tolist(), ids[n - 1 - wit].tolist()
     diameter, radius = max(ecc), min(ecc)
     u_star = ecc.index(diameter)

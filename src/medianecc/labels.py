@@ -19,7 +19,7 @@ masks, one AND per record, or where ``_scans`` says that costs more, one
 subset-max "transform" table; ``index.paths["phi"]`` counts the paths.
 On Q_d every class blocks every nonempty record: one scan answers all.
 
-An index whose ``arrays`` slot is set (large inputs with wide levels and
+An index whose ``records`` slot is set (large inputs with wide levels and
 few pairs, see ``medianecc.flat_labels``) is swept on numpy arrays
 instead, with the same labels and ties.
 """
@@ -68,7 +68,7 @@ def compute_phi(index: CubeIndex, theta: ThetaDecomposition) -> None:
     unblocked pof reach b itself, at distance |X|; a heavy vertex keys its
     outgoing record r as phi(r) * R + r over R records. An index with
     record arrays takes ``flat_labels.compute_phi``."""
-    if index.arrays is not None:
+    if index.records is not None:
         from . import flat_labels
         return flat_labels.compute_phi(index)
     incident, in_classes = theta.incident, theta.in_classes

@@ -136,7 +136,7 @@ def compute_opposites(index: CubeIndex) -> None:
     """
     if index.phi is None:
         raise RuntimeError("compute_phi must run before compute_opposites")
-    if index.arrays is not None:
+    if index.records is not None:
         from . import flat_labels
         return flat_labels.compute_opposites(index)
     pofs, phi = index.pof, index.phi

@@ -28,11 +28,13 @@ class PipelineResult:
         """What the run did: ``records``, ``levels`` from v0, the sweep
         ``pairs`` (``cubes.sweep_pairs``) and which ``sweeps`` ran, "array"
         (``medianecc.flat_labels``) or "scalar"; scalar sweeps add the
-        vertices per path of ``phi``, ``opposites`` and ``psi``."""
-        return {"records": len(self.index),
-                "levels": max(self.theta.dist0) + 1,
+        vertices per path of ``phi``, ``opposites`` and ``psi``. Reading
+        them builds no view of theta or of the index."""
+        t = self.theta.arrays
+        levels = max(self.theta.dist0) if t is None else int(t.level.max())
+        return {"records": len(self.index), "levels": levels + 1,
                 "pairs": sweep_pairs(self.index),
-                "sweeps": "scalar" if self.index.arrays is None else "array",
+                "sweeps": "scalar" if self.index.records is None else "array",
                 **self.index.paths}
 
 

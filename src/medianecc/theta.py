@@ -66,25 +66,24 @@ class NonMedianGraphError(RuntimeError):
 class ThetaDecomposition:
     """Edge classes plus the v0-oriented incidence indexes.
 
-    ``edge_class[e]`` is the class of edge e; classes are numbered in the
-    order of their smallest edge ids.
+    ``dist0[v]`` is v's distance from v0; ``edge_class[e]`` is the class of
+    edge e, classes being numbered in the order of their smallest edge ids.
     ``incident[v]`` maps class id -> the neighbour of v across its edge of
     that class (classes are matchings, so v has at most one such edge).
     ``in_classes[v]`` lists, ascending, the classes of the edges that point
     into v: an edge (u, v) points u -> v when dist0[u] < dist0[v].
 
-    The scalar path stores those three; the flat path builds them on first
+    The scalar path stores those four; the flat path builds them on first
     read from ``arrays`` (``flat.ThetaArrays``), which the cube walk reads.
     """
 
     v0: int
-    dist0: list
     q: int
     arrays: Optional[object] = field(default=None, repr=False, compare=False)
 
-    edge_class, incident, in_classes = (
+    dist0, edge_class, incident, in_classes = (
         cached_property(lambda self, name=name: getattr(self.arrays, name)())
-        for name in ("edge_class", "incident", "in_classes"))
+        for name in ("dist0", "edge_class", "incident", "in_classes"))
 
 
 def compute_theta(g: Graph, v0: int = 0) -> ThetaDecomposition:
@@ -193,7 +192,8 @@ def _theta_scalar(g: Graph, v0: int) -> ThetaDecomposition:
                     f"vertex {x}")
             incident[x][c] = y
         ingoing[v if dist0[u] < dist0[v] else u].append(c)
-    theta = ThetaDecomposition(v0=v0, dist0=dist0, q=q)
-    vars(theta).update(edge_class=edge_class, incident=tuple(incident),
+    theta = ThetaDecomposition(v0=v0, q=q)
+    vars(theta).update(dist0=dist0, edge_class=edge_class,
+                       incident=tuple(incident),
                        in_classes=tuple(tuple(sorted(cs)) for cs in ingoing))
     return theta

@@ -574,9 +574,9 @@ def doctored(theta, in_classes):
         arrays.in_tail = np.array([incident[v].get(c, v)
                                    for v, inc in enumerate(in_classes)
                                    for c in inc], np.int64)
-    out = ThetaDecomposition(theta.v0, theta.dist0, theta.q, arrays)
-    vars(out).update(edge_class=theta.edge_class, incident=incident,
-                     in_classes=in_classes)
+    out = ThetaDecomposition(theta.v0, theta.q, arrays)
+    vars(out).update(dist0=theta.dist0, edge_class=theta.edge_class,
+                     incident=incident, in_classes=in_classes)
     return out
 
 

@@ -5,7 +5,7 @@ names to each path.
 ``flat.compute_theta``, ``flat_labels.walk`` and ``flat_labels.build`` are
 called directly, so the edge cut and the rule that pick a path are
 bypassed: on small graphs the scalar run walks theta's lists and leaves
-``index.arrays`` None, and the array run walks theta's arrays and sets it
+``index.records`` None, and the array run walks theta's arrays and sets it
 before the label stages.
 """
 from __future__ import annotations
@@ -38,7 +38,7 @@ def labelled(g, v0, arrays):
         index = CubeIndex(g.n)
         index.records = flat_labels.walk(theta)
         assert flat_labels.links(index.records)
-        index.arrays = flat_labels.build(index.records)
+        flat_labels.build(index.records)
     else:
         theta = compute_theta(g, v0)
         index = enumerate_cubes(g, theta)
@@ -57,7 +57,7 @@ def assert_same(g, v0=0):
     for name in LABELS:
         assert list(getattr(index, name)) == getattr(scalar, name), name
     assert report == scalar_report
-    a = index.arrays
+    a = index.records
     assert a.mask.tolist() == list(scalar.mask or [0] * len(scalar))
     return bool((~flat_labels._dense(a) & (a.out_ptr[1:] - a.out_ptr[:-1]
                                            > 2)).any())
@@ -119,7 +119,7 @@ def test_dense_masks_match_the_scalar_store():
             gen_hypercube(3), gen_tree(9, 4))):
         index, _ = labelled(g, 0, arrays=True)
         scalar, _ = labelled(g, 0, arrays=False)
-        a = index.arrays
+        a = index.records
         dense = flat_labels._dense(a)
         assert dense.any()
         for b in np.flatnonzero(dense).tolist():
@@ -149,7 +149,7 @@ def test_rule_sends_wide_light_inputs_to_arrays():
     for g in (gen_grid(2, 9000), gen_hypercube(12)):
         result = run_pipeline(g)
         assert result.counters["sweeps"] == "scalar"
-        assert result.index.arrays is None
+        assert result.index.records is None
         assert all(type(getattr(result.index, name)) is list
                    for name in LABELS)
     assert run_pipeline(gen_grid(5, 5)).counters["sweeps"] == "scalar"
@@ -162,7 +162,7 @@ def test_stage_memory_per_record():
     g = gen_grid(200, 200)
     theta = compute_theta(g)
     index = enumerate_cubes(g, theta)
-    assert index.arrays is not None
+    assert index.records is not None
     tracemalloc.start()
     try:
         compute_phi(index, theta)

@@ -174,11 +174,14 @@ def test_large_input_builds_no_neighbor_maps():
 
 
 def test_large_input_builds_no_edge_tuple():
-    # flat theta reads the parsed edge ends; only == builds the pairs
+    # flat theta keeps the parsed edge ends, not a copy; only == builds
+    # the pairs. The index holds its record arrays under one name
     grid = gen_grid(120, 120)
     g = load_graph(save_graph(grid))
     assert g.ends is not None and g.m == grid.m
-    run_pipeline(g)
+    result = run_pipeline(g)
+    assert result.theta.arrays.ends is g.ends
+    assert not hasattr(result.index, "arrays")
     assert "edges" not in vars(g)
     assert g == grid and g.edges == grid.edges
 
@@ -218,7 +221,7 @@ def test_large_input_builds_no_index_lists():
     result = run_pipeline(gen_grid(120, 120))
     counters = result.counters
     assert counters["sweeps"] == "array"
-    assert not {"edge_class", "incident", "in_classes"} & \
+    assert not {"dist0", "edge_class", "incident", "in_classes"} & \
         set(vars(result.theta))
     lists = ("order", "basis", "pof", "outgoing", "ingoing")
     assert not set(lists) & set(vars(result.index))
