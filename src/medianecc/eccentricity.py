@@ -11,7 +11,8 @@ The sweep visits vertices from the nearest level to the farthest and pairs
 each outgoing record with the ingoing records of its basis that its pof
 does not block; ties go to the opposite's phi, then to the smallest
 ingoing record id. Vertices take the phi sweep's paths (counted in
-``index.paths["psi"]``), keyed so that the same ties win. An index with
+``index.paths["psi"]``), keyed so that the same ties win; a "blocked"
+vertex leaves each outgoing record at its opposite's phi. An index with
 record arrays runs both steps in ``medianecc.flat_labels``.
 """
 from __future__ import annotations
@@ -68,7 +69,7 @@ def compute_psi(index: CubeIndex, theta: ThetaDecomposition) -> None:
     R = len(pofs)
     index.psi = psi = [-1] * R
     index.psi_witness = psiw = [-1] * R
-    loop = scan = transform = 0
+    loop = blocked = scan = transform = 0
 
     for b in index.order:  # by level, nearest first
         outs = outgoing[b]
@@ -96,16 +97,19 @@ def compute_psi(index: CubeIndex, theta: ThetaDecomposition) -> None:
                 psi[r] = len(X) + reach
                 psiw[r] = wit
             continue
-        masks = class_masks(index, outs, k)
-        top = {}  # the best key of each distinct blocked mask
-        for t, q in zip(ins[1:], labels.blocked_masks(index, theta, b, masks,
-                                                      k)[1:]):
-            top[q] = max(top.get(q, -1), psi[t] * R + (R - 1 - t))
-        nonempty = list(zip(outs[1:], masks[1:]))
-        for r, _ in nonempty:  # start at the opposite's phi
+        for r in outs[1:]:  # start at the opposite's phi
             o = opp[r]
             psi[r] = len(pofs[r]) + phi[o]
             psiw[r] = mu[o]
+        queries = labels.blocked_masks(index, theta, b, k)
+        if queries is None:  # every ingoing psi is blocked
+            blocked += 1
+            continue
+        masks = class_masks(index, outs, k)
+        top = {}  # the best key of each distinct blocked mask
+        for t, q in zip(ins[1:], queries[1:]):
+            top[q] = max(top.get(q, -1), psi[t] * R + (R - 1 - t))
+        nonempty = list(zip(outs[1:], masks[1:]))
         if labels._scans(len(top), len(outs), k):
             scan += 1  # best keys first: a later equal psi does not win
             ranked = sorted(top.items(), key=lambda e: -e[1])
@@ -120,7 +124,8 @@ def compute_psi(index: CubeIndex, theta: ThetaDecomposition) -> None:
             if len(pofs[r]) + p > psi[r]:
                 psi[r] = len(pofs[r]) + p
                 psiw[r] = psiw[R - 1 - t]
-    index.paths["psi"] = {"loop": loop, "scan": scan, "transform": transform}
+    index.paths["psi"] = {"loop": loop, "blocked": blocked, "scan": scan,
+                          "transform": transform}
 
 
 def eccentricities(index: CubeIndex) -> EccReport:

@@ -14,10 +14,11 @@ upward edges (see ``medianecc.cubes``). Unless a vertex is heavy
 (``_heavy_cost``) and dense (``opposites.dense``), a "loop" tests every
 pair. Otherwise every pof inside the complement of t's blocked mask
 (``blocked_masks``) over b's classes (``opposites.class_masks``) is
-unblocked, and each distinct blocked mask takes a "scan" of b's outgoing
-masks, one AND per record, or where ``_scans`` says that costs more, one
-subset-max "transform" table; ``index.paths["phi"]`` counts the paths.
-On Q_d every class blocks every nonempty record: one scan answers all.
+unblocked. Where every class blocks every nonempty t, as on Q_d, b is
+"blocked": each t reaches b itself, with no mask work. Elsewhere each
+distinct blocked mask takes a "scan" of b's outgoing masks, one AND per
+record, or where ``_scans`` says that costs more, one subset-max
+"transform" table; ``index.paths["phi"]`` counts the paths.
 
 An index whose ``records`` slot is set (large inputs with wide levels and
 few pairs, see ``medianecc.flat_labels``) is swept on numpy arrays
@@ -46,18 +47,24 @@ def _scans(distinct: int, n_out: int, k: int) -> bool:
 
 
 def blocked_masks(index: CubeIndex, theta: ThetaDecomposition, b: int,
-                  masks: list, k: int) -> list:
+                  k: int) -> list | None:
     """For each mask M over b's ingoing classes, the bits of b's k classes
-    (as b's outgoing ``masks``) incident to the basis of b's record M. A
-    class c blocks the pof X exactly when X lies in the ingoing classes of
-    b + c (see ``medianecc.flat_labels``), so the mask of M is that of M
-    without its top bit AND that of the top bit: k probes per class."""
-    incident, pofs, outs = theta.incident, index.pof, index.outgoing[b]
-    bits = [(pofs[r][0], m) for r, m in zip(outs[1:k + 1], masks[1:k + 1])]
-    found = [(1 << k) - 1]  # b has all of its classes
-    for a in theta.in_classes[b]:
-        at = incident[incident[b][a]]
-        top = sum(bit for c, bit in bits if c in at)
+    (ascending, as ``opposites.class_masks``) incident to the basis of b's
+    record M, or None when b is fully blocked. A class c blocks the pof X
+    exactly when X lies in the ingoing classes of b + c (see
+    ``medianecc.flat_labels``), so the mask of M is that of M without its
+    top bit AND that of the top bit: k probes per class. When every class's
+    mask is full, so is every nonempty record's: no record's mask is built."""
+    incident, pofs = theta.incident, index.pof
+    bits = [(c, 1 << i) for i, c in enumerate(sorted(
+        [pofs[r][0] for r in index.outgoing[b][1:k + 1]]))]
+    full = (1 << k) - 1  # b has all of its classes
+    tops = [sum(bit for c, bit in bits if c in incident[incident[b][a]])
+            for a in theta.in_classes[b]]
+    if tops.count(full) == len(tops):
+        return None
+    found = [full]
+    for top in tops:
         found += [m & top for m in found]
     return found
 
@@ -77,7 +84,7 @@ def compute_phi(index: CubeIndex, theta: ThetaDecomposition) -> None:
     R = len(pofs)
     index.phi = phi = [0] * R
     index.mu = mu = basis[:]
-    loop = scan = transform = 0
+    loop = blocked = scan = transform = 0
 
     for b in reversed(index.order):  # by level, farthest first
         ins = ingoing[b]
@@ -103,8 +110,15 @@ def compute_phi(index: CubeIndex, theta: ThetaDecomposition) -> None:
                 phi[t] = len(pofs[t]) + reach
                 mu[t] = wit
             continue
+        queries = blocked_masks(index, theta, b, k)
+        lo, hi = ins[1], ins[-1] + 1  # b's nonempty ingoing records
+        if queries is None:  # only b's empty pof reaches: b itself
+            blocked += 1
+            phi[lo:hi] = map(len, pofs[lo:hi])
+            mu[lo:hi] = [b] * (hi - lo)
+            continue
         masks = class_masks(index, outs, k)
-        queries = blocked_masks(index, theta, b, masks, k)[1:]
+        queries = queries[1:]
         keys = [phi[r] * R + r for r in outs]
         distinct = set(queries)
         if _scans(len(distinct), len(outs), k):
@@ -116,8 +130,8 @@ def compute_phi(index: CubeIndex, theta: ThetaDecomposition) -> None:
             table = subset_max(zip(masks, keys), k)
             best = {q: table[-1 - q] for q in distinct}
         wit = {q: mu[key % R] for q, key in best.items()}
-        lo, hi = ins[1], ins[-1] + 1  # b's nonempty ingoing records
         phi[lo:hi] = [len(p) + best[q] // R
                       for p, q in zip(pofs[lo:hi], queries)]
         mu[lo:hi] = map(wit.__getitem__, queries)
-    index.paths["phi"] = {"loop": loop, "scan": scan, "transform": transform}
+    index.paths["phi"] = {"loop": loop, "blocked": blocked, "scan": scan,
+                          "transform": transform}

@@ -28,8 +28,9 @@ class PipelineResult:
         """What the run did: ``records``, ``levels`` from v0, the sweep
         ``pairs`` (``cubes.sweep_pairs``) and which ``sweeps`` ran, "array"
         (``medianecc.flat_labels``) or "scalar"; scalar sweeps add the
-        vertices per path of ``phi``, ``opposites`` and ``psi``. Reading
-        them builds no view of theta or of the index."""
+        vertices per path of ``opposites``, ``phi`` and ``psi``, the last
+        two with "blocked" vertices, where every class blocks every nonempty
+        ingoing cube. Reading them builds no view of theta or of the index."""
         t = self.theta.arrays
         levels = max(self.theta.dist0) if t is None else int(t.level.max())
         return {"records": len(self.index), "levels": levels + 1,

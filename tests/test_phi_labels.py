@@ -85,10 +85,11 @@ def test_phi_matches_brute_table_with_valid_witnesses(small_corpus):
 
 
 def sweep_corpus(small_corpus):
-    """The small corpus and heavier families for the sweeps' three paths,
+    """The small corpus and heavier families for the sweeps' four paths,
     as ``(name, graph, *basepoint)``."""
     graphs = list(small_corpus)
-    graphs += [(f"cube{k}", gen_hypercube(k)) for k in range(1, 8)]
+    # Q8 is the smallest cube with heavy vertices, all of them fully blocked
+    graphs += [(f"cube{k}", gen_hypercube(k)) for k in range(1, 9)]
     for b, seed in [(8, 1), (12, 2)]:  # Q3 x tree is all light, Q4 x tree not
         for k in (3, 4):
             graphs.append((f"cube{k}_tree{b}", cartesian_product(
@@ -106,13 +107,13 @@ def sweep_corpus(small_corpus):
     return graphs
 
 
-SWEEP_PATHS = ("loop", "scan", "transform")
+SWEEP_PATHS = ("loop", "blocked", "scan", "transform")
 
 
 def test_labels_match_pair_scans(monkeypatch, small_corpus):
-    # each path of each sweep (the pair loop, the distinct-mask scan and
-    # the transform) must give the plain record sweeps' labels and
-    # witnesses
+    # each path of each sweep (the pair loop, the fully blocked vertex, the
+    # distinct-mask scan and the transform) must give the plain record
+    # sweeps' labels and witnesses
     graphs = sweep_corpus(small_corpus)
 
     def check():
@@ -149,7 +150,8 @@ def test_labels_match_pair_scans(monkeypatch, small_corpus):
     monkeypatch.setattr("medianecc.labels._heavy_cost",
                         lambda k, n: 1 << 62)
     for count in check().values():
-        assert count["scan"] == count["transform"] == 0, count
+        assert count["blocked"] == count["scan"] == count["transform"] == 0, \
+            count
     monkeypatch.setattr("medianecc.labels._heavy_cost", lambda k, n: -1)
     for scans in (True, False):
         monkeypatch.setattr("medianecc.labels._scans", lambda *a: scans)
@@ -157,16 +159,21 @@ def test_labels_match_pair_scans(monkeypatch, small_corpus):
             ("transform", "scan")
         for count in check().values():
             assert count[taken] > 0 and count[other] == 0, count
+            assert count["blocked"] > 0, count
 
 
 def test_sweep_path_counters(small_corpus):
     # Q_d: every class blocks every nonempty record, so each heavy vertex
-    # has one distinct blocked mask and scans; the small corpus with the
-    # sweeps' heavier families reaches every path
+    # is fully blocked and takes no mask path; the small corpus with the
+    # sweeps' heavier families, Q4 x tree among them, whose heavy vertices
+    # have some ingoing records fully blocked and some not, reaches every
+    # path
     for d in range(3, 10):
         counters = run_pipeline(gen_hypercube(d)).counters
-        assert counters["phi"]["transform"] == 0, (d, counters)
-        assert counters["psi"]["transform"] == 0, (d, counters)
+        for stage in ("phi", "psi"):
+            taken = {path for path, count in counters[stage].items() if count}
+            assert taken <= {"loop", "blocked"}, (d, counters)
+            assert counters[stage]["transform"] == 0, (d, counters)
         assert sum(counters["opposites"].values()) == 1 << d
         assert counters["opposites"]["memo"] == 0
     reached = set()
@@ -183,7 +190,8 @@ def test_sweep_path_counters(small_corpus):
 def test_blocked_masks_follow_the_one_cubes(small_corpus):
     # the recurrence over the ingoing classes gives, for every ingoing
     # record t of a dense vertex b, the bits of b's classes incident to
-    # t's basis
+    # t's basis, in class_masks' layout; None only where each of those
+    # masks is full
     rng = random.Random(17)
     graphs = [g for _, g in small_corpus]
     graphs += [gen_hypercube(k) for k in range(1, 9)]
@@ -191,7 +199,7 @@ def test_blocked_masks_follow_the_one_cubes(small_corpus):
         graphs.append(peripheral_expansion(gen_tree(rng.randrange(1, 5),
                                                     seed), seed,
                                            rng.randrange(1, 40), max_n=200))
-    dense_vertices = 0
+    dense_vertices = fully_blocked = 0
     for g in graphs:
         theta = compute_theta(g, rng.randrange(g.n))
         index = enumerate_cubes(g, theta)
@@ -200,18 +208,23 @@ def test_blocked_masks_follow_the_one_cubes(small_corpus):
             if not dense(len(outs), k):
                 continue
             dense_vertices += 1
+            found = blocked_masks(index, theta, b, k)
             masks = class_masks(index, outs, k)
             bits = {index.pof[r][0]: m for r, m in zip(outs[1:k + 1],
                                                        masks[1:k + 1])}
             # one bit per class, in ascending class order
             assert [bits[c] for c in sorted(bits)] == [1 << i
                                                        for i in range(k)]
-            found = blocked_masks(index, theta, b, masks, k)
-            assert len(found) == len(index.ingoing[b])
-            for t, m in zip(index.ingoing[b], found):
-                at = theta.incident[index.basis[t]]
-                assert m == sum(bit for c, bit in bits.items() if c in at)
+            probes = [sum(bit for c, bit in bits.items()
+                          if c in theta.incident[index.basis[t]])
+                      for t in index.ingoing[b]]
+            if found is None:
+                fully_blocked += 1
+                assert probes == [(1 << k) - 1] * len(probes)
+            else:
+                assert found == probes and min(probes) < (1 << k) - 1
     assert dense_vertices > 1000, dense_vertices
+    assert 100 < fully_blocked < dense_vertices, fully_blocked
 
 
 def test_ladder_set_of_a_vertex_with_itself_is_empty(small_corpus):
