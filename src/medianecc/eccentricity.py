@@ -11,9 +11,10 @@ The sweep visits vertices from the nearest level to the farthest and pairs
 each outgoing record with the ingoing records of its basis that its pof
 does not block; ties go to the opposite's phi, then to the smallest
 ingoing record id. Vertices take the phi sweep's paths (counted in
-``index.paths["psi"]``), keyed so that the same ties win; a "blocked"
-vertex leaves each outgoing record at its opposite's phi. An index with
-record arrays runs both steps in ``medianecc.flat_labels``.
+``index.paths["psi"]``), keyed so that the same ties win; a vertex that
+phi found "blocked" (``index.blocked``) leaves each outgoing record at
+its opposite's phi. An index with record arrays runs both steps in
+``medianecc.flat_labels``.
 """
 from __future__ import annotations
 
@@ -101,7 +102,8 @@ def compute_psi(index: CubeIndex, theta: ThetaDecomposition) -> None:
             o = opp[r]
             psi[r] = len(pofs[r]) + phi[o]
             psiw[r] = mu[o]
-        queries = labels.blocked_masks(index, theta, b, k)
+        queries = None if b in index.blocked else \
+            labels.blocked_masks(index, theta, b, k)
         if queries is None:  # every ingoing psi is blocked
             blocked += 1
             continue

@@ -10,8 +10,8 @@ numpy arrays by ``medianecc.flat``, which is imported only then; where it
 refuses a text, the line scanner and the per-edge checks here raise the
 error and message they always have. A graph that flat parsed keeps its
 edge-end array (``Graph.ends``) and builds the ``edges`` tuple from it only
-on first read. ``Graph.neighbors`` is built on first read too; the
-pipeline reads neither on the flat path.
+on first read. ``Graph.neighbors`` and ``Graph.dist0`` are built on first
+read too; the pipeline reads none of them on the flat path.
 """
 from __future__ import annotations
 
@@ -92,6 +92,11 @@ class Graph:
             adj_lists[v].append((u, i))
         return tuple(dict(sorted(lst)) for lst in adj_lists)
 
+    @cached_property
+    def dist0(self) -> list:
+        """``bfs(self, 0)``, which build_graph and theta from 0 share."""
+        return bfs(self, 0)
+
 
 def build_graph(n: int, edges: Sequence[tuple[int, int]],
                 edge_lines: Optional[Sequence[int]] = None) -> Graph:
@@ -124,7 +129,7 @@ def build_graph(n: int, edges: Sequence[tuple[int, int]],
         seen.add(key)
 
     g = Graph(n=n, edges=tuple((u, v) for u, v in edges))
-    reached = n - bfs(g, 0).count(-1)
+    reached = n - g.dist0.count(-1)
     if reached != n:
         raise GraphValidationError(
             f"graph is disconnected: reached {reached} of {n} vertices from vertex 0")

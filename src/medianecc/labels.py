@@ -84,7 +84,8 @@ def compute_phi(index: CubeIndex, theta: ThetaDecomposition) -> None:
     R = len(pofs)
     index.phi = phi = [0] * R
     index.mu = mu = basis[:]
-    loop = blocked = scan = transform = 0
+    index.blocked = blocked = set()
+    loop = scan = transform = 0
 
     for b in reversed(index.order):  # by level, farthest first
         ins = ingoing[b]
@@ -113,7 +114,7 @@ def compute_phi(index: CubeIndex, theta: ThetaDecomposition) -> None:
         queries = blocked_masks(index, theta, b, k)
         lo, hi = ins[1], ins[-1] + 1  # b's nonempty ingoing records
         if queries is None:  # only b's empty pof reaches: b itself
-            blocked += 1
+            blocked.add(b)
             phi[lo:hi] = map(len, pofs[lo:hi])
             mu[lo:hi] = [b] * (hi - lo)
             continue
@@ -133,5 +134,5 @@ def compute_phi(index: CubeIndex, theta: ThetaDecomposition) -> None:
         phi[lo:hi] = [len(p) + best[q] // R
                       for p, q in zip(pofs[lo:hi], queries)]
         mu[lo:hi] = map(wit.__getitem__, queries)
-    index.paths["phi"] = {"loop": loop, "blocked": blocked, "scan": scan,
-                          "transform": transform}
+    index.paths["phi"] = {"loop": loop, "blocked": len(blocked),
+                          "scan": scan, "transform": transform}

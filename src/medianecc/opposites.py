@@ -3,13 +3,16 @@
 For a vertex m, every outgoing pof L carries the weight phi(m, L). The
 opposite of L is the maximum-weight outgoing pof disjoint from L: the first
 one disjoint from L when m's pofs are ranked by weight, size and class list.
-All opposite queries for m are answered at once, in one of three regimes,
+All opposite queries for m are answered at once, in one of four regimes,
 counted in ``index.paths["opposites"]``: "trivial", m's empty pof alone
-or with one edge; "dense" (``dense``: hypercubes, grids, most tree
-vertices), one subset-max table over the pofs' class masks
-(``class_masks``, which phi and psi read too); "memo" (hubs such as the
-centre of a large star), a table of blocked class sets
-(``opposite_records``).
+or with one edge; "complement", where the pofs are all 2^k subsets of
+m's k classes, each with phi equal to its size (every vertex of Q_d of
+out-degree 2 or more): every other pof disjoint from L is smaller than
+L's complement, and so is its weight, so that complement is the answer;
+"dense" (``dense``: grids, most tree vertices), one subset-max table
+over the class masks (``class_masks``, which phi and psi read too);
+"memo" (hubs such as the centre of a large star), a table of blocked
+class sets (``opposite_records``).
 
 ``medianecc.flat_labels`` answers the dense vertices of an index with
 record arrays by the same keys on numpy tables, and keeps the memo table
@@ -141,7 +144,7 @@ def compute_opposites(index: CubeIndex) -> None:
         return flat_labels.compute_opposites(index)
     pofs, phi = index.pof, index.phi
     opp = [0] * len(index)
-    trivial = dense_count = memo = 0
+    trivial = complement = dense_count = memo = 0
     for rids in index.outgoing:
         if len(rids) <= 2:  # () alone, or () and one edge: no table
             opp[rids[0]], opp[rids[-1]] = rids[-1], rids[0]
@@ -149,7 +152,15 @@ def compute_opposites(index: CubeIndex) -> None:
             continue
         # the empty pof, then the k 1-cubes
         k = bisect_right(rids, 1, 1, key=lambda r: len(pofs[r])) - 1
-        if dense(len(rids), k):
+        # all 2^k subsets, and phi, never below |pof|, sums to their sizes
+        if len(rids) == 1 << k and \
+                sum(map(phi.__getitem__, rids)) == k << (k - 1):
+            at = [0] * len(rids)  # the records by mask
+            for r, m in zip(rids, class_masks(index, rids, k)):
+                at[m] = r
+            rids, found = at, at[::-1]  # 2^k - 1 - M is M's complement
+            complement += 1
+        elif dense(len(rids), k):
             found = dense_opposites(rids, class_masks(index, rids, k), phi, k)
             dense_count += 1
         else:
@@ -158,5 +169,5 @@ def compute_opposites(index: CubeIndex) -> None:
         for r, o in zip(rids, found):
             opp[r] = o
     index.opp = opp
-    index.paths["opposites"] = {"trivial": trivial, "dense": dense_count,
-                                "memo": memo}
+    index.paths["opposites"] = {"trivial": trivial, "complement": complement,
+                                "dense": dense_count, "memo": memo}

@@ -113,7 +113,7 @@ def compute_theta(g: Graph, v0: int = 0) -> ThetaDecomposition:
 
 def _theta_scalar(g: Graph, v0: int) -> ThetaDecomposition:
     """compute_theta one vertex at a time; raises at the first fault."""
-    dist0 = bfs(g, v0)
+    dist0 = g.dist0 if v0 == 0 else bfs(g, v0)
     edges = g.edges
     m = g.m
 

@@ -7,7 +7,8 @@ from medianecc import (build_graph, compute_phi, compute_opposites,
                        compute_theta, enumerate_cubes, run_pipeline)
 from medianecc.generators import (cartesian_product, fixture, gen_grid,
                                   gen_hypercube, gen_tree)
-from medianecc.opposites import dense, dense_opposites, opposite_records
+from medianecc.opposites import (class_masks, dense, dense_opposites,
+                                 opposite_records)
 
 from helpers import (brute_eccentricities, diameter_via_upsilon,
                      scan_opposites, upsilon)
@@ -151,22 +152,93 @@ def _rank_entries(index):
         sorted(entries, key=lambda e: (-e[1], len(e[0]), e[0]))
 
 
+def _transform_everywhere(index):
+    """The subset transform of ``compute_opposites`` at every vertex of a
+    hypercube with a table, 2^k pofs over k classes, the complete and flat
+    ones that take the complement included."""
+    phi = index.phi
+    for rids in index.outgoing:
+        if len(rids) > 2:
+            k = len(rids).bit_length() - 1
+            dense_opposites(rids, class_masks(index, rids, k), phi, k)
+
+
 def test_dense_opposites_cost_about_as_much_as_cubes():
     # Q10: every vertex is dense, 2^k pofs over k classes. The yardstick is
     # ranking each vertex's entries, which every opposite answer needs:
     # the subset transform costs about 3x that, the memo table alone, with
-    # one scan of the ranked pofs per miss, about 17x
+    # one scan of the ranked pofs per miss, about 17x. compute_opposites
+    # answers Q10 by complement, so the transform is timed on its own
     g = gen_hypercube(10)
     _, index = _prepared(g)
     opposites = ranking = float("inf")
     for _ in range(3):
         t = time.perf_counter()
-        compute_opposites(index)
+        _transform_everywhere(index)
         opposites = min(opposites, time.perf_counter() - t)
         t = time.perf_counter()
         _rank_entries(index)
         ranking = min(ranking, time.perf_counter() - t)
     assert opposites <= 6 * ranking, (opposites, ranking)
+
+
+def _complete_and_flat(index, rids):
+    """Whether ``rids`` holds every subset of its k classes, each at phi
+    equal to its size, and that k."""
+    pofs, phi = index.pof, index.phi
+    k = sum(len(pofs[r]) == 1 for r in rids)
+    return k > 1 and len(rids) == 1 << k and \
+        all(phi[r] == len(pofs[r]) for r in rids), k
+
+
+def test_complement_opposites_match_the_transform_and_the_scan():
+    # at a complete, flat vertex each pof's complement is the one heaviest
+    # disjoint pof, so the complement answers what the transform and the
+    # plain scan answer; all of Q_d's vertices of out-degree 2 or more are
+    # such, and the cube corners at the top of a tree or path factor
+    graphs = [gen_hypercube(d) for d in range(2, 10)]
+    graphs += [cartesian_product(gen_hypercube(3), gen_tree(40, 3)),
+               cartesian_product(gen_hypercube(4), gen_grid(1, 12))]
+    for g in graphs:
+        _, index = _prepared(g)
+        flat = 0
+        for rids in index.outgoing:
+            is_flat, k = _complete_and_flat(index, rids)
+            if not is_flat:
+                continue
+            flat += 1
+            expected = scan_opposites([(index.pof[r], index.phi[r], r)
+                                       for r in rids])
+            assert [index.opp[r] for r in rids] == expected
+            assert dense_opposites(rids, class_masks(index, rids, k),
+                                   index.phi, k) == expected
+        assert flat == index.paths["opposites"]["complement"] > 0, g.n
+
+
+def test_complete_vertex_above_its_sizes_keeps_the_transform(monkeypatch):
+    # 4 x 5 grid from corner 0: each vertex off the far sides has both
+    # upward edges and their square, but an edge's phi reaches the far
+    # side, above its size 1, except at the vertex next to the far corner
+    g = gen_grid(4, 5)
+    transformed = []
+
+    def spy(rids, masks, weight, k):
+        transformed.append(rids[0])  # the empty pof, whose basis is m
+        return dense_opposites(rids, masks, weight, k)
+
+    monkeypatch.setattr("medianecc.opposites.dense_opposites", spy)
+    _, index = _prepared(g)
+    complete = {i * 5 + j for i in range(3) for j in range(4)}
+    assert {index.basis[r] for r in transformed} == complete - {13}
+    is_flat, k = _complete_and_flat(index, index.outgoing[0])
+    assert k == 2 and not is_flat
+    assert _complete_and_flat(index, index.outgoing[13]) == (True, 2)
+    assert index.paths["opposites"] == {"trivial": 8, "complement": 1,
+                                        "dense": 11, "memo": 0}
+    for m in range(g.n):
+        rids = index.outgoing[m]
+        assert [index.opp[r] for r in rids] == scan_opposites(
+            [(index.pof[r], index.phi[r], r) for r in rids]), m
 
 
 def test_upsilon_is_at_least_the_best_single_label(small_corpus):

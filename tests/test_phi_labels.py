@@ -162,19 +162,27 @@ def test_labels_match_pair_scans(monkeypatch, small_corpus):
             assert count["blocked"] > 0, count
 
 
+OPPOSITES_PATHS = ("trivial", "complement", "dense", "memo")
+
+
 def test_sweep_path_counters(small_corpus):
     # Q_d: every class blocks every nonempty record, so each heavy vertex
-    # is fully blocked and takes no mask path; the small corpus with the
-    # sweeps' heavier families, Q4 x tree among them, whose heavy vertices
-    # have some ingoing records fully blocked and some not, reaches every
-    # path
+    # is fully blocked and takes no mask path, and every vertex with two
+    # or more out-classes holds each subset of them at phi = size, so it
+    # takes its opposites by complement; the small corpus with the sweeps'
+    # heavier families, Q4 x tree among them, whose heavy vertices have
+    # some ingoing records fully blocked and some not, reaches every path
     for d in range(3, 10):
         counters = run_pipeline(gen_hypercube(d)).counters
         for stage in ("phi", "psi"):
             taken = {path for path, count in counters[stage].items() if count}
             assert taken <= {"loop", "blocked"}, (d, counters)
             assert counters[stage]["transform"] == 0, (d, counters)
+        assert set(counters["opposites"]) == set(OPPOSITES_PATHS)
         assert sum(counters["opposites"].values()) == 1 << d
+        # out-degree d - |v| >= 2 at all but v0's d + 1 tallest vertices
+        assert counters["opposites"]["complement"] == (1 << d) - 1 - d
+        assert counters["opposites"]["dense"] == 0
         assert counters["opposites"]["memo"] == 0
     reached = set()
     for name, g, *v0 in sweep_corpus(small_corpus):
@@ -184,7 +192,38 @@ def test_sweep_path_counters(small_corpus):
                     for path, count in counters[stage].items() if count}
     assert reached == {(stage, path) for stage in ("phi", "psi")
                        for path in SWEEP_PATHS} | {
-        ("opposites", path) for path in ("trivial", "dense", "memo")}
+        ("opposites", path) for path in OPPOSITES_PATHS}
+
+
+def test_psi_reuses_the_fully_blocked_verdict_of_phi(monkeypatch,
+                                                    small_corpus):
+    # phi records the vertices where blocked_masks returned None; psi
+    # skips its own call there and still counts them as "blocked"
+    calls = []
+
+    def counted(index, theta, b, k):
+        calls.append(b)
+        return blocked_masks(index, theta, b, k)
+
+    blocked_total = called = 0
+    for name, g, *v0 in sweep_corpus(small_corpus):
+        theta = compute_theta(g, *v0)
+        index = enumerate_cubes(g, theta)
+        compute_phi(index, theta)
+        compute_opposites(index)
+        monkeypatch.setattr("medianecc.labels.blocked_masks", counted)
+        calls.clear()
+        compute_psi(index, theta)
+        monkeypatch.undo()
+        assert not index.blocked & set(calls), name
+        assert index.paths["psi"]["blocked"] == \
+            index.paths["phi"]["blocked"] == len(index.blocked), name
+        assert (index.psi, index.psi_witness) == scan_psi(index, theta), name
+        blocked_total += len(index.blocked)
+        called += len(calls)
+    # Q8 and Q4 x tree have fully blocked vertices; the heavy vertices of
+    # the other mask paths still make their call
+    assert blocked_total > 100 and called > 0, (blocked_total, called)
 
 
 def test_blocked_masks_follow_the_one_cubes(small_corpus):
