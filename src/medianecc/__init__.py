@@ -5,7 +5,8 @@ opposites -> bent labels) runs in time linear in the vertex count for any
 fixed dimension, and refuses every input that is not a median graph with
 ``NonMedianGraphError``. The generators and named fixtures live in
 ``medianecc.generators``, the 2-sweep and 4-sweep diameter heuristics in
-``medianecc.heuristics``, all-pairs distances in ``medianecc.oracle``.
+``medianecc.heuristics``, all-pairs distances in ``medianecc.oracle``,
+which needs scipy, a test dependency, and is not imported here.
 """
 from .cubes import CubeIndex, enumerate_cubes
 from .eccentricity import EccReport, compute_psi, eccentricities

@@ -63,8 +63,8 @@ class CubeIndex:
     the stage that fills them allocates them: lists, or ``array('i')``
     buffers where ``records`` holds the record arrays of
     ``medianecc.flat_labels``. Scalar stages fill ``mask``
-    (``opposites.class_masks``), ``blocked``, the set of phi's fully
-    blocked vertices, which psi reads, and ``paths``, vertices per path.
+    (``opposites.class_masks``), ``mask_path``, the mask path phi took at
+    each vertex that took one, for psi, and ``paths``, vertices per path.
 
     ``records`` is set, to ``flat_labels.Records``, exactly where the label
     stages run on arrays; the lists are then views of it.
@@ -74,7 +74,7 @@ class CubeIndex:
         self.n = n
         self.dimension = 0
         self.phi = self.mu = self.opp = self.psi = self.psi_witness = None
-        self.records = self.mask = self.blocked = None
+        self.records = self.mask = self.mask_path = None
         self.paths = {}
 
     def __len__(self) -> int:

@@ -10,11 +10,11 @@ families on the records around u.
 The sweep visits vertices from the nearest level to the farthest and pairs
 each outgoing record with the ingoing records of its basis that its pof
 does not block; ties go to the opposite's phi, then to the smallest
-ingoing record id. Vertices take the phi sweep's paths (counted in
-``index.paths["psi"]``), keyed so that the same ties win; a vertex that
-phi found "blocked" (``index.blocked``) leaves each outgoing record at
-its opposite's phi. An index with record arrays runs both steps in
-``medianecc.flat_labels``.
+ingoing record id. Each vertex takes the path phi took there
+(``index.mask_path``; counted in ``index.paths["psi"]``), keyed so that
+the same ties win. ``eccentricities`` takes the report's extremes from
+the per-vertex maxima of either path; an index with record arrays runs
+the sweep and those maxima in ``medianecc.flat_labels``.
 """
 from __future__ import annotations
 
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 from . import labels
 from .cubes import CubeIndex
-from .opposites import class_masks, dense, subset_max
+from .opposites import class_masks, subset_max
 from .theta import ThetaDecomposition
 
 
@@ -53,7 +53,8 @@ def compute_psi(index: CubeIndex, theta: ThetaDecomposition) -> None:
       ingoing pof X- of u- whose own cube basis touches no class of X
       (otherwise u- would not be the final jump-off point toward u).
 
-    A heavy vertex keys ingoing record t as psi(t) * R + (R - 1 - t).
+    Every record starts at the first family. A vertex that takes a mask
+    path keys ingoing record t as psi(t) * R + (R - 1 - t).
 
     Requires compute_phi and compute_opposites. An index with record
     arrays takes ``flat_labels.compute_psi``.
@@ -64,28 +65,29 @@ def compute_psi(index: CubeIndex, theta: ThetaDecomposition) -> None:
         from . import flat_labels
         return flat_labels.compute_psi(index)
     incident, in_classes = theta.incident, theta.in_classes
-    pofs, phi, mu = index.pof, index.phi, index.mu
+    pofs, phi, mu, opp = index.pof, index.phi, index.mu, index.opp
     basis, ingoing, outgoing = index.basis, index.ingoing, index.outgoing
-    opp = index.opp
     R = len(pofs)
     index.psi = psi = [-1] * R
     index.psi_witness = psiw = [-1] * R
-    loop = blocked = scan = transform = 0
+    for r, X in enumerate(pofs):  # start at the opposite's phi
+        if X:
+            o = opp[r]
+            psi[r], psiw[r] = len(X) + phi[o], mu[o]
+    loop = 0
 
     for b in index.order:  # by level, nearest first
         outs = outgoing[b]
         if len(outs) == 1:
             continue
         ins = ingoing[b]
-        k = len(incident[b]) - len(in_classes[b])
-        if (len(outs) - 1) * (len(ins) - 1) <= \
-                labels._heavy_cost(k, len(ins)) or not dense(len(outs), k):
+        path = index.mask_path.get(b)
+        if path is None:
             loop += 1
             lows = ins[1:]  # ascending t: the first wins ties
             for r in outs[1:]:
                 X = pofs[r]
-                o = opp[r]
-                reach, wit = phi[o], mu[o]
+                reach, wit = psi[r] - len(X), psiw[r]
                 for t in lows:
                     p = psi[t]
                     if p > reach:
@@ -98,27 +100,20 @@ def compute_psi(index: CubeIndex, theta: ThetaDecomposition) -> None:
                 psi[r] = len(X) + reach
                 psiw[r] = wit
             continue
-        for r in outs[1:]:  # start at the opposite's phi
-            o = opp[r]
-            psi[r] = len(pofs[r]) + phi[o]
-            psiw[r] = mu[o]
-        queries = None if b in index.blocked else \
-            labels.blocked_masks(index, theta, b, k)
-        if queries is None:  # every ingoing psi is blocked
-            blocked += 1
+        if path == "blocked":  # every ingoing psi is blocked
             continue
+        k = len(incident[b]) - len(in_classes[b])
+        queries = labels.blocked_masks(index, theta, b, k)
         masks = class_masks(index, outs, k)
         top = {}  # the best key of each distinct blocked mask
         for t, q in zip(ins[1:], queries[1:]):
             top[q] = max(top.get(q, -1), psi[t] * R + (R - 1 - t))
         nonempty = list(zip(outs[1:], masks[1:]))
-        if labels._scans(len(top), len(outs), k):
-            scan += 1  # best keys first: a later equal psi does not win
+        if path == "scan":  # best keys first: a later equal psi does not win
             ranked = sorted(top.items(), key=lambda e: -e[1])
             offers = ((r, key) for q, key in ranked
                       for r in [r for r, m in nonempty if not m & q])
         else:
-            transform += 1
             table = subset_max(top.items(), k)
             offers = ((r, table[-1 - m]) for r, m in nonempty)
         for r, key in offers:
@@ -126,47 +121,45 @@ def compute_psi(index: CubeIndex, theta: ThetaDecomposition) -> None:
             if len(pofs[r]) + p > psi[r]:
                 psi[r] = len(pofs[r]) + p
                 psiw[r] = psiw[R - 1 - t]
-    index.paths["psi"] = {"loop": loop, "blocked": blocked, "scan": scan,
-                          "transform": transform}
+    index.paths["psi"] = {**index.paths["phi"], "loop": loop}
 
 
 def eccentricities(index: CubeIndex) -> EccReport:
-    """Assemble every vertex's eccentricity from the computed labels.
+    """Assemble every vertex's eccentricity, and the extremes, from labels.
 
     The witness is the smallest vertex id among the records attaining the
-    maximum. Requires compute_psi. An index with record arrays takes
-    ``flat_labels.eccentricities``.
+    maximum. Requires compute_psi. An index with record arrays takes its
+    eccentricities and witnesses from ``flat_labels.eccentricities``.
     """
     if index.psi is None:
         raise RuntimeError("compute_psi must run before eccentricities")
     if index.records is not None:
         from . import flat_labels
-        return flat_labels.eccentricities(index)
-    phi, mu = index.phi, index.mu
-    psi, psiw = index.psi, index.psi_witness
-    outgoing, ingoing = index.outgoing, index.ingoing
-    ecc = [0] * index.n
-    wit = [0] * index.n
-    for u in range(index.n):
-        best = 0
-        bw = u  # the empty outgoing cube: distance 0 to u itself
-        for r in outgoing[u]:
-            val = phi[r]
-            if val > best or (val == best and mu[r] < bw):
-                best = val
-                bw = mu[r]
-        for r in ingoing[u]:  # empty-pof records keep psi = -1
-            val = psi[r]
-            if val > best or (val == best and psiw[r] < bw):
-                best = val
-                bw = psiw[r]
-        ecc[u] = best
-        wit[u] = bw
+        ecc, wit = flat_labels.eccentricities(index)
+    else:
+        phi, mu = index.phi, index.mu
+        psi, psiw = index.psi, index.psi_witness
+        outgoing, ingoing = index.outgoing, index.ingoing
+        ecc = [0] * index.n
+        wit = [0] * index.n
+        for u in range(index.n):
+            best = 0
+            bw = u  # the empty outgoing cube: distance 0 to u itself
+            for r in outgoing[u]:
+                val = phi[r]
+                if val > best or (val == best and mu[r] < bw):
+                    best = val
+                    bw = mu[r]
+            for r in ingoing[u]:  # empty-pof records keep psi = -1
+                val = psi[r]
+                if val > best or (val == best and psiw[r] < bw):
+                    best = val
+                    bw = psiw[r]
+            ecc[u] = best
+            wit[u] = bw
 
-    diameter = max(ecc)
-    radius = min(ecc)
+    diameter, radius = max(ecc), min(ecc)
     u_star = ecc.index(diameter)
-    center = ecc.index(radius)
     return EccReport(ecc=ecc, witness=wit, diameter=diameter, radius=radius,
                      diametral_pair=(u_star, wit[u_star]),
-                     center_vertex=center)
+                     center_vertex=ecc.index(radius))

@@ -53,7 +53,6 @@ from typing import Optional
 import numpy as np
 
 from .cubes import CubeIndex
-from .eccentricity import EccReport
 from .flat import _CHUNK, _chunks
 from .opposites import _ties, dense, opposite_records
 from .theta import MAX_DIM, ThetaDecomposition
@@ -458,8 +457,9 @@ def compute_psi(index: CubeIndex) -> None:
         psiw[r] = psiw[t[up]]
 
 
-def eccentricities(index: CubeIndex) -> EccReport:
-    """Per vertex, the largest ``label * n + (n - 1 - witness)`` over its
+def eccentricities(index: CubeIndex) -> tuple:
+    """The eccentricity and witness lists of ``eccentricity.eccentricities``:
+    per vertex, the largest ``label * n + (n - 1 - witness)`` over its
     outgoing phi and ingoing psi keeps the smallest witness. The lists
     share their ints: one object per vertex and per value."""
     a, n = index.records, index.n
@@ -478,9 +478,4 @@ def eccentricities(index: CubeIndex) -> EccReport:
     del key
     ecc, wit = np.divmod(best + (n - 1), n)
     ids = a.theta.arrays.ids
-    ecc, wit = ids[ecc].tolist(), ids[n - 1 - wit].tolist()
-    diameter, radius = max(ecc), min(ecc)
-    u_star = ecc.index(diameter)
-    return EccReport(ecc=ecc, witness=wit, diameter=diameter, radius=radius,
-                     diametral_pair=(u_star, wit[u_star]),
-                     center_vertex=ecc.index(radius))
+    return ids[ecc].tolist(), ids[n - 1 - wit].tolist()

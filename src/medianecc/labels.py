@@ -18,7 +18,8 @@ unblocked. Where every class blocks every nonempty t, as on Q_d, b is
 "blocked": each t reaches b itself, with no mask work. Elsewhere each
 distinct blocked mask takes a "scan" of b's outgoing masks, one AND per
 record, or where ``_scans`` says that costs more, one subset-max
-"transform" table; ``index.paths["phi"]`` counts the paths.
+"transform" table. ``index.paths["phi"]`` counts the paths, and
+``index.mask_path`` keeps each vertex's mask path for the psi sweep.
 
 An index whose ``records`` slot is set (large inputs with wide levels and
 few pairs, see ``medianecc.flat_labels``) is swept on numpy arrays
@@ -27,7 +28,7 @@ instead, with the same labels and ties.
 from __future__ import annotations
 
 from .cubes import CubeIndex
-from .opposites import class_masks, dense, subset_max
+from .opposites import class_bits, class_masks, dense, subset_max
 from .theta import ThetaDecomposition
 
 
@@ -49,15 +50,14 @@ def _scans(distinct: int, n_out: int, k: int) -> bool:
 def blocked_masks(index: CubeIndex, theta: ThetaDecomposition, b: int,
                   k: int) -> list | None:
     """For each mask M over b's ingoing classes, the bits of b's k classes
-    (ascending, as ``opposites.class_masks``) incident to the basis of b's
-    record M, or None when b is fully blocked. A class c blocks the pof X
+    (``opposites.class_bits``) incident to the basis of b's record M, or
+    None when b is fully blocked. A class c blocks the pof X
     exactly when X lies in the ingoing classes of b + c (see
     ``medianecc.flat_labels``), so the mask of M is that of M without its
     top bit AND that of the top bit: k probes per class. When every class's
     mask is full, so is every nonempty record's: no record's mask is built."""
-    incident, pofs = theta.incident, index.pof
-    bits = [(c, 1 << i) for i, c in enumerate(sorted(
-        [pofs[r][0] for r in index.outgoing[b][1:k + 1]]))]
+    incident = theta.incident
+    bits = class_bits(index, index.outgoing[b], k).items()
     full = (1 << k) - 1  # b has all of its classes
     tops = [sum(bit for c, bit in bits if c in incident[incident[b][a]])
             for a in theta.in_classes[b]]
@@ -84,8 +84,8 @@ def compute_phi(index: CubeIndex, theta: ThetaDecomposition) -> None:
     R = len(pofs)
     index.phi = phi = [0] * R
     index.mu = mu = basis[:]
-    index.blocked = blocked = set()
-    loop = scan = transform = 0
+    index.mask_path = taken = {}
+    loop = 0
 
     for b in reversed(index.order):  # by level, farthest first
         ins = ingoing[b]
@@ -114,7 +114,7 @@ def compute_phi(index: CubeIndex, theta: ThetaDecomposition) -> None:
         queries = blocked_masks(index, theta, b, k)
         lo, hi = ins[1], ins[-1] + 1  # b's nonempty ingoing records
         if queries is None:  # only b's empty pof reaches: b itself
-            blocked.add(b)
+            taken[b] = "blocked"
             phi[lo:hi] = map(len, pofs[lo:hi])
             mu[lo:hi] = [b] * (hi - lo)
             continue
@@ -123,16 +123,17 @@ def compute_phi(index: CubeIndex, theta: ThetaDecomposition) -> None:
         keys = [phi[r] * R + r for r in outs]
         distinct = set(queries)
         if _scans(len(distinct), len(outs), k):
-            scan += 1
+            taken[b] = "scan"
             best = {q: max([key for key, m in zip(keys, masks) if not m & q])
                     for q in distinct}
         else:
-            transform += 1
+            taken[b] = "transform"
             table = subset_max(zip(masks, keys), k)
             best = {q: table[-1 - q] for q in distinct}
         wit = {q: mu[key % R] for q, key in best.items()}
         phi[lo:hi] = [len(p) + best[q] // R
                       for p, q in zip(pofs[lo:hi], queries)]
         mu[lo:hi] = map(wit.__getitem__, queries)
-    index.paths["phi"] = {"loop": loop, "blocked": len(blocked),
-                          "scan": scan, "transform": transform}
+    found = list(taken.values())
+    index.paths["phi"] = {"loop": loop, **{
+        path: found.count(path) for path in ("blocked", "scan", "transform")}}

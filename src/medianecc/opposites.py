@@ -33,17 +33,22 @@ def dense(pofs, k):
     return (pofs > 2) & (k <= 30) & (2 * pofs >> (k & 31) > 0)
 
 
+def class_bits(index: CubeIndex, outs: list, k: int) -> dict:
+    """The bits of a vertex's k classes, ascending, from the 1-cubes after
+    the empty pof in its outgoing records ``outs``."""
+    pofs = index.pof
+    return {c: 1 << i for i, c in enumerate(
+        sorted([pofs[r][0] for r in outs[1:k + 1]]))}
+
+
 def class_masks(index: CubeIndex, outs: list, k: int) -> list:
     """The masks in ``index.mask`` of a dense vertex's outgoing records
-    ``outs``, its k classes taking bits in ascending class order, as
-    ``flat_labels.Records.mask``. The first call fills them; the first
-    1-cube's bit then marks the vertex filled."""
+    ``outs`` over its ``class_bits``, as ``flat_labels.Records.mask``. The
+    first call fills them; the first 1-cube's bit then marks it filled."""
     mask = index.mask = index.mask or array("i", bytes(4 * len(index)))
     if mask[outs[1]]:
         return [mask[r] for r in outs]
-    pofs = index.pof
-    bit = {c: 1 << i for i, c in enumerate(
-        sorted([pofs[r][0] for r in outs[1:k + 1]]))}
+    pofs, bit = index.pof, class_bits(index, outs, k)
     masks = [0]
     for r in outs[1:]:
         m = 0

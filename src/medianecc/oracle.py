@@ -2,7 +2,9 @@
 
 One unit-weight search per source, done in compiled code. The test suite's
 definitional references (eccentricities, median verdicts, halfspaces,
-ladder sets, milestones) are built on it in ``tests/helpers.py``.
+ladder sets, milestones) are built on it in ``tests/helpers.py``, as are
+perfbench's small-graph answers. It needs scipy, a test dependency only
+(the ``test`` extra), and ``import medianecc`` does not load it.
 """
 from __future__ import annotations
 

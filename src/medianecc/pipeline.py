@@ -30,7 +30,9 @@ class PipelineResult:
         (``medianecc.flat_labels``) or "scalar"; scalar sweeps add the
         vertices per path of ``opposites``, ``phi`` and ``psi``, the last
         two with "blocked" vertices, where every class blocks every nonempty
-        ingoing cube. Reading them builds no view of theta or of the index."""
+        ingoing cube. psi takes phi's mask paths (``CubeIndex.mask_path``),
+        so their "blocked", "scan" and "transform" counts are equal. Reading
+        them builds no view of theta or of the index."""
         t = self.theta.arrays
         levels = max(self.theta.dist0) if t is None else int(t.level.max())
         return {"records": len(self.index), "levels": levels + 1,

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -9,6 +12,7 @@ from medianecc import cli
 from medianecc.generators import (cartesian_product, fixture, gen_grid,
                                   gen_hypercube)
 from medianecc.cli import main
+from medianecc.graph import FLAT_MIN_EDGES
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -240,3 +244,32 @@ def test_golden_outputs_replay_byte_for_byte(tmp_path, capsys):
             want = (GOLDEN / f"{case}.{cmd}.out").read_bytes()
             assert capsys.readouterr().out.encode() == want, (case, cmd)
         assert csv.read_bytes() == (GOLDEN / f"{case}.ecc.csv").read_bytes()
+
+
+def test_package_and_cli_run_without_scipy(tmp_path):
+    # scipy is a test dependency: the package, the pipeline on both sides
+    # of the edge cut and the check and ecc commands never import it
+    small, large = gen_grid(5, 5), gen_grid(100, 100)
+    assert small.m < FLAT_MIN_EDGES <= large.m
+    for name, g in (("small", small), ("large", large)):
+        (tmp_path / f"{name}.txt").write_text(save_graph(g), encoding="utf-8")
+    code = ("import sys\n"
+            "sys.modules['scipy'] = None\n"
+            "from medianecc import load_graph, run_pipeline\n"
+            "from medianecc.cli import main\n"
+            "for name in ('small', 'large'):\n"
+            "    with open(name + '.txt', encoding='utf-8') as f:\n"
+            "        result = run_pipeline(load_graph(f.read()))\n"
+            "    print(result.counters['sweeps'], result.report.diameter)\n"
+            "    assert main(['check', name + '.txt']) == 0\n"
+            "    assert main(['ecc', name + '.txt']) == 0\n"
+            "print('oracle loaded', 'medianecc.oracle' in sys.modules)\n")
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         cwd=tmp_path, capture_output=True, text=True,
+                         timeout=300).stdout.splitlines()
+    assert out[0] == "scalar 8" and "array 198" in out, out
+    assert out.count("median true") == 2, out
+    assert "diameter 8 radius 4" in out and "diameter 198 radius 100" in out
+    assert out[-1] == "oracle loaded False", out

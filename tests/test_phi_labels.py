@@ -195,35 +195,47 @@ def test_sweep_path_counters(small_corpus):
         ("opposites", path) for path in OPPOSITES_PATHS}
 
 
-def test_psi_reuses_the_fully_blocked_verdict_of_phi(monkeypatch,
-                                                    small_corpus):
-    # phi records the vertices where blocked_masks returned None; psi
-    # skips its own call there and still counts them as "blocked"
+def test_psi_takes_the_path_of_phi(monkeypatch, small_corpus):
+    # phi keeps the mask path it took at each vertex in index.mask_path;
+    # psi takes that path with no heavy, dense or scan test of its own,
+    # recomputes the blocked masks only where phi scanned or transformed,
+    # and counts the same mask paths as phi
     calls = []
 
     def counted(index, theta, b, k):
         calls.append(b)
         return blocked_masks(index, theta, b, k)
 
-    blocked_total = called = 0
-    for name, g, *v0 in sweep_corpus(small_corpus):
+    def untaken(*args):
+        raise AssertionError("psi decided a path of its own")
+
+    # the corpus has Q1..Q8
+    graphs = sweep_corpus(small_corpus) + [("cube9", gen_hypercube(9))]
+    totals = dict.fromkeys(("blocked", "scan", "transform"), 0)
+    for name, g, *v0 in graphs:
         theta = compute_theta(g, *v0)
         index = enumerate_cubes(g, theta)
         compute_phi(index, theta)
         compute_opposites(index)
         monkeypatch.setattr("medianecc.labels.blocked_masks", counted)
+        for hook in ("labels._heavy_cost", "labels._scans", "labels.dense",
+                     "opposites.dense"):
+            monkeypatch.setattr(f"medianecc.{hook}", untaken)
         calls.clear()
         compute_psi(index, theta)
         monkeypatch.undo()
-        assert not index.blocked & set(calls), name
-        assert index.paths["psi"]["blocked"] == \
-            index.paths["phi"]["blocked"] == len(index.blocked), name
+        masked = [b for b, path in index.mask_path.items()
+                  if path != "blocked"]
+        assert sorted(calls) == sorted(masked), name
+        for path in totals:
+            assert index.paths["psi"][path] == index.paths["phi"][path] == \
+                list(index.mask_path.values()).count(path), name
+            totals[path] += index.paths["psi"][path]
         assert (index.psi, index.psi_witness) == scan_psi(index, theta), name
-        blocked_total += len(index.blocked)
-        called += len(calls)
-    # Q8 and Q4 x tree have fully blocked vertices; the heavy vertices of
-    # the other mask paths still make their call
-    assert blocked_total > 100 and called > 0, (blocked_total, called)
+    # Q8, Q9 and Q4 x tree have fully blocked vertices; the heavy vertices
+    # of the other mask paths take theirs
+    assert totals["blocked"] > 100 and totals["scan"] > 0 and \
+        totals["transform"] > 0, totals
 
 
 def test_blocked_masks_follow_the_one_cubes(small_corpus):
