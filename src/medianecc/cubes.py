@@ -62,9 +62,9 @@ class CubeIndex:
     ``phi``, ``mu``, ``opp``, ``psi`` and ``psi_witness`` are None until
     the stage that fills them allocates them: lists, or ``array('i')``
     buffers where ``records`` holds the record arrays of
-    ``medianecc.flat_labels``. Scalar stages fill ``mask``
-    (``opposites.class_masks``), ``mask_path``, the mask path phi took at
-    each vertex that took one, for psi, and ``paths``, vertices per path.
+    ``medianecc.flat_labels``. Scalar stages fill ``mask`` where one
+    reads it (``opposites.class_masks``), ``mask_path``, phi's mask path
+    at each vertex that took one, for psi, and ``paths``, vertices per path.
 
     ``records`` is set, to ``flat_labels.Records``, exactly where the label
     stages run on arrays; the lists are then views of it.

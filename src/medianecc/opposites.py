@@ -3,20 +3,26 @@
 For a vertex m, every outgoing pof L carries the weight phi(m, L). The
 opposite of L is the maximum-weight outgoing pof disjoint from L: the first
 one disjoint from L when m's pofs are ranked by weight, size and class list.
-All opposite queries for m are answered at once, in one of four regimes,
+All opposite queries for m are answered at once, in one of five regimes,
 counted in ``index.paths["opposites"]``: "trivial", m's empty pof alone
 or with one edge; "complement", where the pofs are all 2^k subsets of
 m's k classes, each with phi equal to its size (every vertex of Q_d of
 out-degree 2 or more): every other pof disjoint from L is smaller than
 L's complement, and so is its weight, so that complement is the answer;
-"dense" (``dense``: grids, most tree vertices), one subset-max table
-over the class masks (``class_masks``, which phi and psi read too);
-"memo" (hubs such as the centre of a large star), a table of blocked
-class sets (``opposite_records``).
+"ranked" (square corners, most tree vertices, a star's centre), at most
+``RANKED_POFS`` pofs or only 1-cubes: that ranking, scanned per pof, at
+most p^2 disjointness tests over p pofs, or 2p over 1-cubes, where the
+first or second ranked pof answers; "dense" (``dense``), one subset-max
+table over the class masks (``class_masks``, which phi and psi read
+too); "memo" (hubs such as those of a star times an edge), a table of
+blocked class sets (``opposite_records``). Per vertex the scan took
+0.3-0.56 of the table's time at 4 to 15 pofs, and as long at the
+complete 16-pof vertices of a 6^4 grid, where L's disjoint pofs rank
+low: at 16, small-batch's opposites took 3-8 % less time than at 8, the
+6^4 grid's 25-30 % more (best of 7, 2-vCPU x86 host).
 
 ``medianecc.flat_labels`` answers the dense vertices of an index with
-record arrays by the same keys on numpy tables, and keeps the memo table
-for the others.
+record arrays on numpy tables by the same keys, the others by memo.
 """
 from __future__ import annotations
 
@@ -25,6 +31,8 @@ from bisect import bisect_right
 from functools import cache
 
 from .cubes import CubeIndex
+
+RANKED_POFS = 8
 
 
 def dense(pofs, k):
@@ -149,30 +157,42 @@ def compute_opposites(index: CubeIndex) -> None:
         return flat_labels.compute_opposites(index)
     pofs, phi = index.pof, index.phi
     opp = [0] * len(index)
-    trivial = complement = dense_count = memo = 0
+    count = index.paths["opposites"] = dict.fromkeys(
+        ("trivial", "complement", "ranked", "dense", "memo"), 0)
     for rids in index.outgoing:
-        if len(rids) <= 2:  # () alone, or () and one edge: no table
+        p = len(rids)
+        if p <= 2:  # () alone, or () and one edge: no table
             opp[rids[0]], opp[rids[-1]] = rids[-1], rids[0]
-            trivial += 1
+            count["trivial"] += 1
             continue
-        # the empty pof, then the k 1-cubes
-        k = bisect_right(rids, 1, 1, key=lambda r: len(pofs[r])) - 1
-        # all 2^k subsets, and phi, never below |pof|, sums to their sizes
-        if len(rids) == 1 << k and \
-                sum(map(phi.__getitem__, rids)) == k << (k - 1):
-            at = [0] * len(rids)  # the records by mask
-            for r, m in zip(rids, class_masks(index, rids, k)):
+        s = len(pofs[rids[-1]])  # the last, largest pof: 2^s faces
+        # all 2^s subsets, and phi, never below |pof|, sums to their sizes
+        if p == 1 << s and sum(map(phi.__getitem__, rids)) == s << (s - 1):
+            at = [0] * p  # the records by mask
+            for r, m in zip(rids, class_masks(index, rids, s)):
                 at[m] = r
-            rids, found = at, at[::-1]  # 2^k - 1 - M is M's complement
-            complement += 1
-        elif dense(len(rids), k):
+            rids, found, path = at, at[::-1], "complement"  # M's complement
+        elif p <= RANKED_POFS or s == 1:
+            ranked = sorted(rids, key=lambda r: (-phi[r], len(pofs[r]),
+                                                 pofs[r]))
+            found, path = [], "ranked"
+            for r in rids:
+                pof = pofs[r]
+                for o in ranked:  # the empty pof ends every scan
+                    for c in pofs[o]:
+                        if c in pof:
+                            break
+                    else:
+                        found.append(o)
+                        break
+        elif dense(p, k := bisect_right(  # the empty pof, then k 1-cubes
+                rids, 1, 1, key=lambda r: len(pofs[r])) - 1):
             found = dense_opposites(rids, class_masks(index, rids, k), phi, k)
-            dense_count += 1
+            path = "dense"
         else:
             found = opposite_records((pofs[r], phi[r], r) for r in rids)
-            memo += 1
+            path = "memo"
+        count[path] += 1
         for r, o in zip(rids, found):
             opp[r] = o
     index.opp = opp
-    index.paths["opposites"] = {"trivial": trivial, "complement": complement,
-                                "dense": dense_count, "memo": memo}

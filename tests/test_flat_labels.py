@@ -20,7 +20,7 @@ import pytest
 from medianecc import (CubeIndex, build_graph, compute_opposites, compute_phi,
                        compute_psi, compute_theta, eccentricities,
                        enumerate_cubes, run_pipeline)
-from medianecc import flat, flat_labels
+from medianecc import flat, flat_labels, opposites
 from medianecc.cubes import sweep_pairs
 from medianecc.generators import (cartesian_product, gen_grid,
                                   gen_hypercube, gen_tree,
@@ -48,16 +48,37 @@ def labelled(g, v0, arrays):
     return index, eccentricities(index)
 
 
+def fill_dense_masks(scalar, a):
+    """Check that the scalar stages filled class masks only where one of
+    them reads them: at the vertices where phi took the scan or the
+    transform, and where the opposites take the complement or the
+    subset-max table. Then fill them, by ``class_masks``, at every dense
+    vertex of the record arrays ``a``, so that the two stores compare."""
+    filled = scalar.mask or [0] * len(scalar)
+    for b, outs in enumerate(scalar.outgoing):
+        if len(outs) > 1 and filled[outs[1]]:
+            p, s = len(outs), len(scalar.pof[outs[-1]])
+            complement = p == 1 << s and \
+                sum(scalar.phi[r] for r in outs) == s << (s - 1)
+            table = p > opposites.RANKED_POFS and s > 1 and \
+                opposites.dense(p, int(a.outdeg[b]))
+            assert scalar.mask_path.get(b) in ("scan", "transform") or \
+                complement or table, b
+    for b in np.flatnonzero(flat_labels._dense(a)).tolist():
+        opposites.class_masks(scalar, scalar.outgoing[b], int(a.outdeg[b]))
+
+
 def assert_same(g, v0=0):
     """Whether the array path took some sparse opposites vertex, after
     checking that it agrees with the scalar path, class masks included:
-    the scalar stages fill every dense vertex's, and leave 0 elsewhere."""
+    filled at every dense vertex (``fill_dense_masks``), 0 elsewhere."""
     index, report = labelled(g, v0, arrays=True)
     scalar, scalar_report = labelled(g, v0, arrays=False)
     for name in LABELS:
         assert list(getattr(index, name)) == getattr(scalar, name), name
     assert report == scalar_report
     a = index.records
+    fill_dense_masks(scalar, a)
     assert a.mask.tolist() == list(scalar.mask or [0] * len(scalar))
     return bool((~flat_labels._dense(a) & (a.out_ptr[1:] - a.out_ptr[:-1]
                                            > 2)).any())
@@ -120,6 +141,7 @@ def test_dense_masks_match_the_scalar_store():
         index, _ = labelled(g, 0, arrays=True)
         scalar, _ = labelled(g, 0, arrays=False)
         a = index.records
+        fill_dense_masks(scalar, a)
         dense = flat_labels._dense(a)
         assert dense.any()
         for b in np.flatnonzero(dense).tolist():

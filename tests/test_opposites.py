@@ -6,9 +6,10 @@ import time
 from medianecc import (build_graph, compute_phi, compute_opposites,
                        compute_theta, enumerate_cubes, run_pipeline)
 from medianecc.generators import (cartesian_product, fixture, gen_grid,
-                                  gen_hypercube, gen_tree)
-from medianecc.opposites import (class_masks, dense, dense_opposites,
-                                 opposite_records)
+                                  gen_hypercube, gen_tree,
+                                  peripheral_expansion)
+from medianecc.opposites import (RANKED_POFS, class_masks, dense,
+                                 dense_opposites, opposite_records)
 
 from helpers import (brute_eccentricities, diameter_via_upsilon,
                      scan_opposites, upsilon)
@@ -132,14 +133,35 @@ def test_opposite_records_match_scan_on_random_families():
     assert 0 < sparse < 20000 / 2, sparse
 
 
+def _star(m):
+    return build_graph(m + 1, [(0, v) for v in range(1, m + 1)])
+
+
 def test_hub_opposites_cost_about_as_much_as_cubes():
     # K_{1,4000} x K_2: two hubs of degree 4001, where a per-query scan of
     # the ranked pof list would be quadratic in the degree (about 45x cubes)
-    star = build_graph(4001, [(0, v) for v in range(1, 4001)])
-    g = cartesian_product(star, gen_grid(1, 2))
-    runs = [run_pipeline(g).timings for _ in range(3)]
-    opposites = min(t["opposites"] for t in runs)
-    cubes = min(t["cubes"] for t in runs)
+    # at the basepoint's hub, whose squares keep it on the memo table; the
+    # other hub has only 1-cubes, so the first ranked pofs answer there
+    g = cartesian_product(_star(4000), gen_grid(1, 2))
+    runs = [run_pipeline(g) for _ in range(3)]
+    paths = runs[0].counters["opposites"]
+    assert paths["memo"] == paths["ranked"] == 1, paths
+    assert len(runs[0].index.pof[runs[0].index.outgoing[0][-1]]) == 2
+    opposites = min(r.timings["opposites"] for r in runs)
+    cubes = min(r.timings["cubes"] for r in runs)
+    assert opposites <= 5 * cubes, (opposites, cubes)
+
+
+def test_star_centre_takes_the_ranked_scan_at_the_cost_of_cubes():
+    # K_{1,4000} from its centre: one flat vertex with 4,001 pofs, the
+    # empty one and 4,000 edges, where the first or the second ranked pof
+    # answers each query, so the scan is linear in the degree
+    runs = [run_pipeline(_star(4000)) for _ in range(3)]
+    assert runs[0].counters["opposites"] == {
+        "trivial": 4000, "complement": 0, "ranked": 1, "dense": 0,
+        "memo": 0}
+    opposites = min(r.timings["opposites"] for r in runs)
+    cubes = min(r.timings["cubes"] for r in runs)
     assert opposites <= 5 * cubes, (opposites, cubes)
 
 
@@ -216,10 +238,11 @@ def test_complement_opposites_match_the_transform_and_the_scan():
 
 
 def test_complete_vertex_above_its_sizes_keeps_the_transform(monkeypatch):
-    # 4 x 5 grid from corner 0: each vertex off the far sides has both
-    # upward edges and their square, but an edge's phi reaches the far
-    # side, above its size 1, except at the vertex next to the far corner
-    g = gen_grid(4, 5)
+    # 3 x 3 x 3 x 3 grid from corner 0: each vertex whose four base-3
+    # digits are below 2 has all 16 subsets of its upward classes, more
+    # than RANKED_POFS, but an edge's phi reaches the far side, above its
+    # size 1, except at the vertex next to the far corner, digits 1111
+    g = cartesian_product(gen_grid(3, 3), gen_grid(3, 3))
     transformed = []
 
     def spy(rids, masks, weight, k):
@@ -228,17 +251,76 @@ def test_complete_vertex_above_its_sizes_keeps_the_transform(monkeypatch):
 
     monkeypatch.setattr("medianecc.opposites.dense_opposites", spy)
     _, index = _prepared(g)
-    complete = {i * 5 + j for i in range(3) for j in range(4)}
-    assert {index.basis[r] for r in transformed} == complete - {13}
-    is_flat, k = _complete_and_flat(index, index.outgoing[0])
+    complete = {v for v in range(g.n)
+                if all(v // 3 ** i % 3 < 2 for i in range(4))}
+    assert len(complete) == 16 > RANKED_POFS
+    assert {index.basis[r] for r in transformed} == complete - {40}
+    assert _complete_and_flat(index, index.outgoing[0]) == (False, 4)
+    assert _complete_and_flat(index, index.outgoing[40]) == (True, 4)
+    assert index.paths["opposites"]["dense"] == 15
+    # 4 x 5 grid from corner 0: each vertex off the far sides has both
+    # upward edges and their square, 4 pofs, so the ranked scan answers
+    # where the complement does not: at all but the vertex next to the far
+    # corner, whose edges' phi is their size 1
+    g4x5 = gen_grid(4, 5)
+    _, index4x5 = _prepared(g4x5)
+    is_flat, k = _complete_and_flat(index4x5, index4x5.outgoing[0])
     assert k == 2 and not is_flat
-    assert _complete_and_flat(index, index.outgoing[13]) == (True, 2)
-    assert index.paths["opposites"] == {"trivial": 8, "complement": 1,
-                                        "dense": 11, "memo": 0}
-    for m in range(g.n):
-        rids = index.outgoing[m]
-        assert [index.opp[r] for r in rids] == scan_opposites(
-            [(index.pof[r], index.phi[r], r) for r in rids]), m
+    assert _complete_and_flat(index4x5, index4x5.outgoing[13]) == (True, 2)
+    assert index4x5.paths["opposites"] == {
+        "trivial": 8, "complement": 1, "ranked": 11, "dense": 0, "memo": 0}
+    for g, index in ((g, index), (g4x5, index4x5)):
+        for m in range(g.n):
+            rids = index.outgoing[m]
+            assert [index.opp[r] for r in rids] == scan_opposites(
+                [(index.pof[r], index.phi[r], r) for r in rids]), (g.n, m)
+
+
+def test_ranked_opposites_are_the_definition(monkeypatch):
+    # trees, grids, tree x tree products and peripheral expansions from
+    # three basepoints: every opposite is the plain scan's; the ranked
+    # scan, seen as the one sort of a vertex's record ids, runs only at
+    # vertices of at most RANKED_POFS pofs or of 1-cubes alone; and
+    # p == 2^s, s the size of the last (largest) pof, holds exactly at
+    # the complete vertices, which are flat where _complete_and_flat says
+    scanned = []
+
+    def spy(items, *, key=None):
+        if key is not None and items and type(items[0]) is int:
+            scanned.append(items)
+        return sorted(items, key=key)
+
+    monkeypatch.setattr("medianecc.opposites.sorted", spy, raising=False)
+    rng = random.Random(24)
+    graphs = [gen_tree(n, seed) for seed, n in enumerate((2, 9, 60, 400))]
+    graphs.append(_star(12))  # from its centre: 13 pofs, 1-cubes alone
+    graphs += [gen_grid(p, q) for p, q in ((1, 6), (3, 4), (7, 9))]
+    graphs += [cartesian_product(gen_tree(8 + seed, seed),
+                                 gen_tree(11, seed + 7)) for seed in range(3)]
+    graphs += [peripheral_expansion(gen_tree(rng.randrange(1, 5), seed),
+                                    seed, rng.randrange(1, 40), max_n=200)
+               for seed in range(30)]
+    ranked = wide = 0
+    for g in graphs:
+        for v0 in sorted({0, g.n // 2, g.n - 1}):
+            scanned.clear()
+            _, index = _prepared(g, v0)
+            pofs, phi = index.pof, index.phi
+            for m, rids in enumerate(index.outgoing):
+                assert [index.opp[r] for r in rids] == scan_opposites(
+                    [(pofs[r], phi[r], r) for r in rids]), (g.n, v0, m)
+                p, s = len(rids), len(pofs[rids[-1]])
+                is_flat, k = _complete_and_flat(index, rids)
+                assert (p == 1 << s) == (p == 1 << k), (g.n, v0, m)
+                assert is_flat == (s > 1 and p == 1 << s and sum(
+                    phi[r] for r in rids) == s << (s - 1)), (g.n, v0, m)
+            for rids in scanned:
+                assert len(rids) <= RANKED_POFS or \
+                    all(len(pofs[r]) <= 1 for r in rids), (g.n, v0, rids)
+                wide += len(rids) > RANKED_POFS
+            assert len(scanned) == index.paths["opposites"]["ranked"]
+            ranked += len(scanned)
+    assert ranked > 0 and wide > 0, (ranked, wide)
 
 
 def test_upsilon_is_at_least_the_best_single_label(small_corpus):

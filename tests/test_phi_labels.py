@@ -162,7 +162,7 @@ def test_labels_match_pair_scans(monkeypatch, small_corpus):
             assert count["blocked"] > 0, count
 
 
-OPPOSITES_PATHS = ("trivial", "complement", "dense", "memo")
+OPPOSITES_PATHS = ("trivial", "complement", "ranked", "dense", "memo")
 
 
 def test_sweep_path_counters(small_corpus):
@@ -182,6 +182,7 @@ def test_sweep_path_counters(small_corpus):
         assert sum(counters["opposites"].values()) == 1 << d
         # out-degree d - |v| >= 2 at all but v0's d + 1 tallest vertices
         assert counters["opposites"]["complement"] == (1 << d) - 1 - d
+        assert counters["opposites"]["ranked"] == 0
         assert counters["opposites"]["dense"] == 0
         assert counters["opposites"]["memo"] == 0
     reached = set()
