@@ -31,8 +31,10 @@ triangle by how many of its classes point into x. (in, in, in) is the
 walk from x; (in, in, out) with out class c is the walk from x+c, into
 which the two mixed squares put both in-classes. The other two kinds are
 checked here: (in, out, out) against the anti-basis of the {b, c} square,
+on bit masks of the ingoing classes at vertices with four or more,
 (out, out, out) against x's 3-cube records, counting link triangles on
-per-class neighbour sets, or on the arrays, of sorted 2-cube keys. With
+per-class neighbour sets (not at complete vertices, where every triangle
+is a 3-cube), or on the arrays, of sorted 2-cube keys. With
 theta's checks, which give simple connectivity and rule out induced
 K_2,3, ``enumerate_cubes`` then accepts exactly the median graphs.
 
@@ -200,12 +202,16 @@ def _check_links(index: CubeIndex, theta: ThetaDecomposition) -> None:
     the module docstring); the other two kinds are read from x's outgoing
     2-cube records {b, c}, whose anti-basis is w = x+b+c.
     (in, out, out): a class a into x that is also into x+b and x+c must be
-    into w. (out, out, out): every triangle of the graph whose edges are
-    those records must be the pof of a 3-cube record at x; the 3-cube
-    records are among the triangles, so counting them suffices.
+    into w; from four classes into x up, all such a at once, on bit masks.
+    (out, out, out): every triangle of the graph whose edges are those
+    records must be the pof of a 3-cube record at x; the 3-cube records
+    are among the triangles, so counting them suffices, and where x's
+    records number 2^|largest pof|, x is complete and all are filled.
     """
     in_classes, incident = theta.in_classes, theta.incident
     pofs = index.pof
+    masks = _InMasks()
+    masks.in_classes = in_classes
     for x, out in enumerate(index.outgoing):
         inc = incident[x]
         ins = in_classes[x]
@@ -216,7 +222,15 @@ def _check_links(index: CubeIndex, theta: ThetaDecomposition) -> None:
             continue
         while stop < end and len(pofs[out[stop]]) == 2:
             stop += 1
-        if ins:
+        if len(ins) > 3:
+            mx = masks[x]
+            for j in range(first, stop):
+                b, c = pofs[out[j]]
+                xb = inc[b]
+                bad = mx & masks[xb] & masks[inc[c]] & ~masks[incident[xb][c]]
+                if bad:
+                    raise _unfilled(x, (bad & -bad).bit_length() - 1, b, c)
+        elif ins:
             for j in range(first, stop):
                 b, c = pofs[out[j]]
                 xb, xc = inc[b], inc[c]
@@ -225,7 +239,7 @@ def _check_links(index: CubeIndex, theta: ThetaDecomposition) -> None:
                     if a in ib and a in ic and \
                             a not in in_classes[incident[xb][c]]:
                         raise _unfilled(x, a, b, c)
-        if stop - first < 3:
+        if stop - first < 3 or end == 1 << len(pofs[out[-1]]):
             continue
         # the out-out link at x, each edge kept at its lower class: a
         # triangle b < c < e is counted once, at its edge (b, c)
@@ -247,6 +261,14 @@ def _check_links(index: CubeIndex, theta: ThetaDecomposition) -> None:
                 for e in sorted(up[b] & up[c]):
                     if (b, c, e) not in filled:
                         raise _unfilled(x, b, c, e)
+
+
+class _InMasks(dict):
+    """Vertex -> the bit mask of its ingoing classes, built on first read."""
+
+    def __missing__(self, v):
+        mask = self[v] = sum(1 << c for c in self.in_classes[v])
+        return mask
 
 
 def _unfilled(x: int, *classes: int) -> NonMedianGraphError:

@@ -19,8 +19,9 @@ enumeration have their own array path, ``medianecc.flat_labels``.
   equal levels and no vertex has over ``theta.MAX_DIM`` ingoing edges,
   pairs the ingoing edges of each vertex and finds each pair's common
   lower neighbours by ``searchsorted`` on the sorted (head, tail) keys of
-  the edges, relates the opposite sides of each square, takes the classes
-  as ``min_labels`` components ranked by their smallest edge id, and
+  the edges, takes the classes as ``theta`` does, each edge's by pointer
+  jumping from the lower side of one of its squares (None where two
+  squares' sides disagree), ranks them by their smallest edge id, and
   checks the class counts and that every class is a matching. It keeps
   its arrays (``ThetaArrays``), ``Graph.ends`` itself among them where the
   graph has it, and never reads ``Graph.neighbors``; the cube walk reads
@@ -93,7 +94,8 @@ def _build(n: int, ends) -> Optional[Graph]:
 
 def min_labels(count: int, a, b):
     """The smallest item of each item's component, for items
-    ``0..count-1`` joined by the pairs ``(a[i], b[i])``.
+    ``0..count-1`` joined by the pairs ``(a[i], b[i])``; ``_build``'s
+    connectivity check.
 
     Min-label hooking with pointer jumping: each round hooks the larger
     root of every still-split pair under the smaller one, then points every
@@ -241,11 +243,22 @@ def _classes(n: int, ends, level) -> Optional[ThetaArrays]:
         if (np.bincount(pair[hit], minlength=len(f)) != 1).any():
             return None
         aw[part], bw[part] = at[hit], found[hit]
-    # opposite sides of square z-a-w-b: za ~ bw and zb ~ aw
-    root = min_labels(m, np.concatenate((arc[i], arc[j])),
-                      np.concatenate((arc[bw], arc[aw])))
-
-    # a class's root is its smallest edge id; rank the roots
+    # opposite sides of square z-a-w-b: za ~ bw and zb ~ aw. Each edge
+    # points at the lower side of one of its squares, and pointer jumping
+    # takes it to its chain's end: on median input, its class's lowest edge
+    upper = np.concatenate((arc[i], arc[j]))
+    lower = np.concatenate((arc[bw], arc[aw]))
+    del i, j, a, b, fan, aw, bw
+    root = np.arange(m, dtype=np.int32)
+    root[upper] = lower
+    for _ in range(int(level.max()).bit_length()):
+        root = root[root]
+    if (root[upper] != root[lower]).any():
+        return None  # two squares' sides disagree: not median
+    del upper, lower
+    first = np.full(m, m, dtype=np.int32)  # each class's smallest edge id
+    np.minimum.at(first, root, np.arange(m, dtype=np.int32))
+    root = first[root]
     is_root = root == np.arange(m)
     q = int(is_root.sum())
     cls = (np.cumsum(is_root) - 1)[root]

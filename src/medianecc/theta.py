@@ -38,6 +38,14 @@ p'-w. A missing or ambiguous completion is refused where it is met.
 The link half, the 3-cube condition, is checked at the end of
 ``cubes.enumerate_cubes``.
 
+Classes need no union-find on median input (Beneteau, Chalopin, Chepoi
+and Vaxes, ICALP 2020). By level, an edge into a vertex with one ingoing
+edge starts a class (that vertex is the gate of v0 in the halfspace the
+edge enters, so the edge is its class's lowest), and every other ingoing
+edge z-a takes the class of b-w, opposite it in its first square
+z-a-w-b. Later squares compare classes; a union joins any two that
+disagree, which happens on non-median input only.
+
 Graphs of ``graph.FLAT_MIN_EDGES`` edges or more go through
 ``medianecc.flat``, the same steps on numpy arrays; where it refuses a
 graph, the code here runs and raises its error.
@@ -92,10 +100,11 @@ def compute_theta(g: Graph, v0: int = 0) -> ThetaDecomposition:
     Squares are enumerated at their farthest-from-v0 corner z: every pair
     of ingoing edges z-a, z-b must close a 4-cycle through a unique common
     neighbor of a and b two levels down, found among a's lower neighbors.
-    A vertex with more than ``MAX_DIM`` ingoing edges is refused before
-    any pair is searched, so no search grows with a degree. Missing or
-    ambiguous completions, equal-level edges, oversized class counts, and
-    non-matching classes also raise NonMedianGraphError. An ambiguous
+    Vertices are visited by level (see the module docstring for the
+    classes). A vertex with more than ``MAX_DIM`` ingoing edges is refused
+    before any pair is searched, so no search grows with a degree. Missing
+    or ambiguous completions, equal-level edges, oversized class counts,
+    and non-matching classes also raise NonMedianGraphError. An ambiguous
     completion (two common lower neighbors, an induced K_2,3) is counted
     only for its message: without that count the matching or count checks
     refuse the input anyway, with a message that names the fault less
@@ -123,22 +132,6 @@ def _theta_scalar(g: Graph, v0: int) -> ThetaDecomposition:
                 f"edge ({u}, {v}) joins vertices at equal distance from the "
                 f"basepoint; graph is not bipartite")
 
-    parent = list(range(m))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(a: int, b: int) -> None:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            if ra < rb:
-                parent[rb] = ra
-            else:
-                parent[ra] = rb
-
     # each vertex's lower neighbours and the edges to them, ascending
     neighbors = g.neighbors
     down = [[(x, e) for x, e in nz.items() if dist0[x] < dz]
@@ -148,7 +141,12 @@ def _theta_scalar(g: Graph, v0: int) -> ThetaDecomposition:
             raise NonMedianGraphError(
                 f"vertex {z} has {len(inn)} ingoing classes, above the "
                 f"supported dimension {MAX_DIM}")
-    for z, inn in enumerate(down):
+    # label[e] names e's class by an edge: its own, or that of the
+    # opposite side of its first square; later squares compare labels
+    label = list(range(m))
+    clashes = []
+    for z in sorted(range(g.n), key=dist0.__getitem__):
+        inn = down[z]
         for i in range(len(inn) - 1):
             a, ea = inn[i]
             for j in range(i + 1, len(inn)):
@@ -166,14 +164,30 @@ def _theta_scalar(g: Graph, v0: int) -> ThetaDecomposition:
                     raise NonMedianGraphError(
                         f"ingoing edges of vertex {z} through {a} and {b} "
                         f"close no square")
-                union(ea, nb[w])
-                union(eb, ew)
+                # opposite sides of the square z-a-w-b: za ~ bw, zb ~ aw
+                bw = nb[w]
+                if i == 0:  # the first square of z-b, and of z-a if j == 1
+                    label[eb] = label[ew]
+                    if j == 1:
+                        label[ea] = label[bw]
+                if label[ea] != label[bw] or label[eb] != label[ew]:
+                    clashes += (label[ea], label[bw]), (label[eb], label[ew])
+    if clashes:  # non-median input only: join the labels squares relate
+        parent = list(range(m))
+
+        def find(x: int) -> int:
+            while parent[x] != x:
+                parent[x] = x = parent[parent[x]]
+            return x
+
+        for x, y in clashes:
+            parent[find(x)] = find(y)
+        label = [find(x) for x in label]
 
     # canonical class ids: ascending minimum edge id
-    root_to_cls: dict = {}
-    edge_class = [root_to_cls.setdefault(find(eid), len(root_to_cls))
-                  for eid in range(m)]
-    q = len(root_to_cls)
+    rank: dict = {}
+    edge_class = [rank.setdefault(x, len(rank)) for x in label]
+    q = len(rank)
 
     if g.n > 1 and q >= g.n:
         raise NonMedianGraphError(f"class count {q} is not below n = {g.n}")

@@ -19,6 +19,7 @@ from medianecc.generators import (cartesian_product, fixture, gen_grid,
                                   gen_hypercube, gen_tree,
                                   peripheral_expansion)
 from medianecc.oracle import distance_matrix
+from medianecc.theta import MAX_DIM
 
 
 def brute_eccentricities(g: Graph, budget: int = 5000) -> EccReport:
@@ -653,4 +654,92 @@ def near_median_graphs(seed, count):
             continue
         draws.append((f"draw {len(draws)}: n={g.n} {name}", h,
                       rng.randrange(h.n)))
+    return draws
+
+
+def reference_theta(g, v0):
+    """``(edge_class, q)`` of g from v0 by union-find over every square's
+    two relations, pairs searched vertex by vertex in id order, with the
+    checks and messages of ``compute_theta``; a reference for the class
+    inheritance that the package uses instead."""
+    dist0 = bfs(g, v0)
+    for u, v in g.edges:
+        if dist0[u] == dist0[v]:
+            raise NonMedianGraphError(
+                f"edge ({u}, {v}) joins vertices at equal distance from the "
+                f"basepoint; graph is not bipartite")
+    neighbors = g.neighbors
+    down = [[(x, e) for x, e in nz.items() if dist0[x] < dz]
+            for nz, dz in zip(neighbors, dist0)]
+    for z, inn in enumerate(down):
+        if len(inn) > MAX_DIM:
+            raise NonMedianGraphError(
+                f"vertex {z} has {len(inn)} ingoing classes, above the "
+                f"supported dimension {MAX_DIM}")
+    parent = list(range(g.m))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    def union(a, b):
+        ra, rb = find(a), find(b)
+        parent[max(ra, rb)] = min(ra, rb)
+
+    for z, inn in enumerate(down):
+        for i, (a, ea) in enumerate(inn):
+            for b, eb in inn[i + 1:]:
+                common = [(x, ex) for x, ex in down[a] if x in neighbors[b]]
+                if len(common) > 1:
+                    raise NonMedianGraphError(
+                        f"vertices {a} and {b} have two common neighbors "
+                        f"below them (induced K_2,3)")
+                if not common:
+                    raise NonMedianGraphError(
+                        f"ingoing edges of vertex {z} through {a} and {b} "
+                        f"close no square")
+                (w, ew), = common
+                union(ea, neighbors[b][w])
+                union(eb, ew)
+    # a class's root is its smallest edge id
+    roots = sorted({find(e) for e in range(g.m)})
+    rank = {r: c for c, r in enumerate(roots)}
+    edge_class = [rank[find(e)] for e in range(g.m)]
+    q = len(roots)
+    if g.n > 1 and q >= g.n:
+        raise NonMedianGraphError(f"class count {q} is not below n = {g.n}")
+    if 2 * g.n - g.m - q > 2:
+        raise NonMedianGraphError(
+            f"count identity violated: 2n - m - q = {2 * g.n - g.m - q} > 2")
+    seen = set()
+    for (u, v), c in zip(g.edges, edge_class):
+        for x in (u, v):
+            if (x, c) in seen:
+                raise NonMedianGraphError(
+                    f"class {c} is not a matching: two of its edges share "
+                    f"vertex {x}")
+            seen.add((x, c))
+    return edge_class, q
+
+
+def random_bipartite_graphs(seed, count, sizes=(3, 12)):
+    """``count`` seeded draws of (graph, basepoint): a random tree on n
+    vertices, n drawn from ``sizes``, plus up to n random edges between
+    its two colour classes, and a random basepoint. Connected and
+    bipartite; some are median, most are not."""
+    rng = random.Random(seed)
+    draws = []
+    for _ in range(count):
+        n = rng.randint(*sizes)
+        parent = [None] + [rng.randrange(v) for v in range(1, n)]
+        depth = [0] * n
+        for v in range(1, n):
+            depth[v] = depth[parent[v]] + 1
+        edges = {(parent[v], v) for v in range(1, n)}
+        for _ in range(rng.randint(0, n)):
+            u, v = sorted(rng.sample(range(n), 2))
+            if (depth[u] + depth[v]) % 2:
+                edges.add((u, v))
+        draws.append((build_graph(n, sorted(edges)), rng.randrange(n)))
     return draws

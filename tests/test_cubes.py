@@ -301,6 +301,53 @@ def test_link_check_refuses_q3_minus_a_vertex(v0):
         enumerate_cubes(g, theta)
 
 
+@pytest.mark.parametrize("d", [5, 6])
+def test_link_check_names_the_smaller_of_two_unfilled_in_classes(d):
+    # Q_d from 0: vertex x = 2^(d-2) - 1 has the d - 2 low bits' classes
+    # in and the two high ones out, and their square's anti-basis is the
+    # top vertex w. With the classes of bits 1 and 2 taken off in(w), both
+    # fail (in, out, out) at x, the first vertex to meet w so; the message
+    # names the smaller. x has four ingoing classes in Q6 (bit masks) and
+    # three in Q5 (class tuples)
+    g = gen_hypercube(d)
+    theta, index = _index_for(g)
+    x, w = (1 << d - 2) - 1, (1 << d) - 1
+    bit = [theta.incident[0][c] for c in range(d)]  # class -> its bit
+    low = [c for c in theta.in_classes[x] if bit[c] in (2, 4)]
+    high = sorted(c for c in theta.incident[x] if bit[c] >= 1 << d - 2)
+    broken = doctored(theta, theta.in_classes[:w] + (tuple(
+        c for c in theta.in_classes[w] if c not in low),))
+    with pytest.raises(NonMedianGraphError,
+                       match=f"^classes {min(low)}, {high[0]} and {high[1]} "
+                             f"pairwise span squares at vertex {x} but no "
+                             f"3-cube"):
+        cubes._check_links(index, broken)
+
+
+def test_no_triangle_count_at_complete_vertices(monkeypatch):
+    # every vertex of a hypercube is complete, so the link pass never
+    # counts its out-out triangles; the per-class neighbour sets it counts
+    # them on are the only sets the pass builds, so a spy on ``set`` in
+    # the module sees every count. Q3 minus a vertex, from 0, shows the
+    # spy does see one
+    built = []
+
+    def spy(*args):
+        built.append(args)
+        return set(*args)
+
+    monkeypatch.setattr(cubes, "set", spy, raising=False)
+    for d in range(3, 9):
+        g = gen_hypercube(d)
+        for v0 in (0, g.n // 3):
+            _index_for(g, v0)
+    assert built == []
+    g = minus_vertex(gen_hypercube(3), 7)
+    with pytest.raises(NonMedianGraphError, match="no 3-cube"):
+        _index_for(g)
+    assert built
+
+
 def test_link_check_names_the_one_unfilled_triangle():
     # Q4 minus vertex 14: at vertex 0 four link triangles, three filled
     g = minus_vertex(gen_hypercube(4), 14)

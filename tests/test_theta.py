@@ -5,7 +5,8 @@ import tracemalloc
 import pytest
 
 from helpers import (class_edges, djokovic_classes, halfspace_sides, is_pof,
-                     k2m, ortho_pairs, orthogonal, theta_partition)
+                     k2m, ortho_pairs, orthogonal, random_bipartite_graphs,
+                     reference_theta, theta_partition)
 
 from medianecc import (NonMedianGraphError, build_graph, compute_theta,
                        enumerate_cubes)
@@ -217,19 +218,55 @@ def test_two_common_lower_neighbors_refused_from_every_basepoint():
     # a square 1-3-2-4 with a vertex below (0) and one above (5): from 0
     # or 5 the far pair has two common lower neighbours and the scalar path
     # names the induced K_2,3; from any other basepoint no pair does, and
-    # the count identity refuses the graph anyway
+    # the count identity refuses the graph anyway. From 1 (or 2, 3, 4)
+    # three edges start classes and the squares at 2 and at 5 relate all
+    # three: only the union of disagreeing squares leaves the one class
+    # (q = 1) that the message pins, as the union-find reference does;
+    # the inherited labels alone (q = 3) would pass the identity
     g = build_graph(6, [(0, 1), (0, 2), (1, 3), (2, 3), (1, 4), (2, 4),
                         (3, 5), (4, 5)])
     for v0 in (0, 5):
         with pytest.raises(NonMedianGraphError, match=r"\(induced K_2,3\)$"):
             compute_theta(g, v0)
     for v0 in (1, 2, 3, 4):
-        with pytest.raises(NonMedianGraphError,
-                           match=r"^count identity violated: "
-                                 r"2n - m - q = 3 > 2$"):
-            compute_theta(g, v0)
+        for theta_of in (compute_theta, reference_theta):
+            with pytest.raises(NonMedianGraphError,
+                               match=r"^count identity violated: "
+                                     r"2n - m - q = 3 > 2$"):
+                theta_of(g, v0)
     for v0 in range(g.n):
         assert flat.compute_theta(g, v0) is None
+
+
+def _square_fault(message):
+    return message.endswith(("(induced K_2,3)", "close no square"))
+
+
+def test_class_inheritance_equals_the_union_find_closure():
+    # on random connected bipartite graphs, median or not, the classes
+    # are those of union-find over every square, and each refusal is the
+    # reference's: the same count or matching message, or a square fault
+    # (two faulty vertices may be met in another order); the flat path
+    # returns None exactly where the scalar path raises
+    accepted = 0
+    for g, v0 in random_bipartite_graphs(5, 2000):
+        try:
+            expected = reference_theta(g, v0)
+        except NonMedianGraphError as exc:
+            expected = str(exc)
+        try:
+            theta = compute_theta(g, v0)
+            got = theta.edge_class, theta.q
+        except NonMedianGraphError as exc:
+            got = str(exc)
+        if isinstance(expected, str) and _square_fault(expected):
+            assert isinstance(got, str) and _square_fault(got), (g, v0, got)
+        else:
+            assert got == expected, (g, v0)
+        assert (flat.compute_theta(g, v0) is None) == isinstance(got, str), \
+            (g, v0)
+        accepted += not isinstance(got, str)
+    assert 200 < accepted < 1800, accepted
 
 
 def test_scalar_guard_refuses_a_hub_before_its_squares():
