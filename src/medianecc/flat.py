@@ -11,21 +11,21 @@ enumeration have their own array path, ``medianecc.flat_labels``.
 - ``load_graph`` parses a plain text (ASCII decimal digits, blanks and
   newlines, as ``save_graph`` writes) in one ``np.loadtxt`` call; any
   other text, comments and CRLF included, is left to the line scanner.
-  It then checks ids, self-loops, duplicate edges (as sorted
-  ``min*n + max`` keys) and connectivity (``min_labels``) on arrays, and
-  returns a ``Graph`` that holds the parsed edge ends (``Graph.ends``);
+  It checks ids and self-loops, then sorts the arc keys ``x * n + y``
+  once: they find duplicate edges and are the adjacency of one BFS from
+  vertex 0 (``_bfs``), which checks connectivity. The ``Graph`` holds the
+  int32 edge ends (``Graph.ends``) and that BFS's levels (``level0``);
   its ``edges`` tuple is built only if something reads it.
-- ``compute_theta`` takes distances from v0, checks that no edge joins
-  equal levels and no vertex has over ``theta.MAX_DIM`` ingoing edges,
-  pairs the ingoing edges of each vertex and finds each pair's common
-  lower neighbours by ``searchsorted`` on the sorted (head, tail) keys of
-  the edges, takes the classes as ``theta`` does, each edge's by pointer
-  jumping from the lower side of one of its squares (None where two
-  squares' sides disagree), ranks them by their smallest edge id, and
-  checks the class counts and that every class is a matching. It keeps
-  its arrays (``ThetaArrays``), ``Graph.ends`` itself among them where the
-  graph has it, and never reads ``Graph.neighbors``; the cube walk reads
-  them, and theta's four indexes are built from them only on first read.
+- ``compute_theta`` reuses ``Graph.level0`` from vertex 0, so load and
+  theta share one traversal (other basepoints and graphs built from pairs
+  run ``_bfs``). It refuses edges joining equal levels and vertices with
+  over ``theta.MAX_DIM`` ingoing edges, finds the common lower neighbours
+  of each pair of ingoing edges by ``searchsorted`` on the sorted (head,
+  tail) keys, takes each edge's class by pointer jumping from the lower
+  side of one of its squares (None where two squares' sides disagree),
+  ranks the classes by smallest edge id, and checks the class counts and
+  that every class is a matching. It keeps its arrays (``ThetaArrays``)
+  and never reads ``Graph.neighbors``.
 
 The cut weighs two measured costs (2-vCPU x86 host, CPython 3.11,
 numpy 2.4). Per call, with numpy loaded, the flat path is faster from the
@@ -53,6 +53,7 @@ from .graph import Graph
 # opposite table entries per step of ``medianecc.flat_labels``: bounds
 # their transient arrays
 _CHUNK = 1 << 15
+MIN_WIDTH = 8  # mean level width for numpy over Python (_bfs, flat_labels)
 
 # The characters of a plain text; any other (``#``, ``\r`` and every
 # non-ASCII one among them) leaves a text to the line scanner.
@@ -76,49 +77,80 @@ def load_graph(text: str) -> Optional[Graph]:
 
 
 def _build(n: int, ends) -> Optional[Graph]:
-    """The graph of the edges ``(ends[2i], ends[2i + 1])``, an int64 array
-    that it keeps; None when a check fails."""
+    """The graph of the edges ``(ends[2i], ends[2i + 1])`` (int64, kept as
+    int32), with its BFS levels from vertex 0; None when a check fails."""
     u, v = ends[0::2], ends[1::2]
     if n < 1 or len(u) < n - 1:
         return None
     if ((u < 0) | (u >= n) | (v < 0) | (v >= n) | (u == v)).any():
         return None
-    lo, hi = np.minimum(u, v), np.maximum(u, v)
-    keys = np.sort(lo * n + hi)
-    if (keys[1:] == keys[:-1]).any() or min_labels(n, lo, hi).any():
+    keys = _arcs(n, ends)
+    if (keys[1:] == keys[:-1]).any():  # an edge listed twice
+        return None
+    ends = ends.astype(np.int32)  # kept: below the search's transients
+    level = _bfs(n, keys, 0)
+    if (level < 0).any():
         return None
     g = Graph.__new__(Graph)  # no edges tuple: Graph.edges builds it
-    vars(g).update(n=n, ends=ends)
+    vars(g).update(n=n, ends=ends, level0=level)
     return g
 
 
-def min_labels(count: int, a, b):
-    """The smallest item of each item's component, for items
-    ``0..count-1`` joined by the pairs ``(a[i], b[i])``; ``_build``'s
-    connectivity check.
+def _arcs(n: int, ends):
+    """The sorted keys ``x * n + y`` of the arcs x -> y, two per edge."""
+    ends = ends.astype(np.int64)
+    return np.sort(ends * n + ends.reshape(-1, 2)[:, ::-1].ravel())
 
-    Min-label hooking with pointer jumping: each round hooks the larger
-    root of every still-split pair under the smaller one, then points every
-    item at its root. A root only ever moves lower, so the final root of a
-    component is its smallest item.
-    """
-    label = np.arange(count, dtype=np.int32)
-    while True:
-        la, lb = label[a], label[b]
-        split = la != lb
-        if not split.any():
-            return label
-        a, b, la, lb = a[split], b[split], la[split], lb[split]
-        np.minimum.at(label, np.maximum(la, lb), np.minimum(la, lb))
-        while True:
-            up = label[label]
-            if (up == label).all():
-                break
-            label = up
+
+def _bfs(n: int, keys, v0: int):
+    """Hop distances from v0 (int32, -1 where unreached) over the arcs of the
+    sorted keys ``keys``: a numpy round per level, deduped by an ``owner``
+    scatter, at 10-20 us whatever its width; then Python on lists once, past
+    ``MIN_WIDTH`` levels, they average under ``MIN_WIDTH`` vertices and stop
+    widening. Against the Python BFS on object lists (2-vCPU x86, CPython
+    3.11, numpy 2.4, best of 9, plus 0.7-6 ms to sort): 283 x 283 grid 0.048
+    -> 0.019 s, 80,000-vertex tree 0.045 -> 0.006 s, all numpy; 2 x 9000
+    ladder 0.008 -> 0.0065 s, Python from level 9 (numpy alone 0.18 s); even
+    near width 32: 16 x 2000 ladder 0.02-0.03 -> 0.035 s."""
+    level = np.full(n, -1, dtype=np.int32)  # kept: below the transients
+    level[v0] = 0
+    owner = np.empty(n, dtype=np.int32)
+    x, adj = np.divmod(keys, n)
+    adj = adj.astype(np.int32)
+    deg = np.bincount(x, minlength=n + 1)
+    start = np.cumsum(deg) - deg
+    del x
+    front, width, reached, d = np.array([v0]), 0, 1, 1
+    while len(front):
+        if d > MIN_WIDTH and reached < MIN_WIDTH * d and len(front) <= width:
+            dist, adj, start, queue = (
+                a.tolist() for a in (level, adj, start, front))
+            for v in queue:
+                dv = dist[v] + 1
+                for w in adj[start[v]:start[v + 1]]:
+                    if dist[w] < 0:
+                        dist[w] = dv
+                        queue.append(w)
+            return np.array(dist, dtype=np.int32)
+        c = adj[_ranges(start[front], deg[front])]
+        c = c[level[c] < 0]
+        at = np.arange(len(c), dtype=np.int32)
+        owner[c] = at
+        c = c[owner[c] == at]
+        level[c] = d
+        width, reached, d, front = len(front), reached + len(c), d + 1, c
+    return level
+
+
+def _ranges(first, lens):
+    """The concatenated ranges ``first[i] .. first[i] + lens[i] - 1``."""
+    ends = np.cumsum(lens)
+    return np.arange(ends[-1] if len(ends) else 0) + \
+        np.repeat(first - (ends - lens), lens)
 
 
 class ThetaArrays:
-    """What flat theta keeps: the graph's int64 edge ends ``ends`` (``u0 v0
+    """What flat theta keeps: the graph's int32 edge ends ``ends`` (``u0 v0
     u1 v1 ...``), and int32 arrays ``level`` (``dist0``), the classes
     ``cls``, and the ``kin[v]`` ingoing edges of each vertex v, their
     classes ascending at ``in_ptr[v]:in_ptr[v + 1]`` of ``in_cls`` and their
@@ -152,22 +184,14 @@ class ThetaArrays:
 def compute_theta(g: Graph, v0: int) -> Optional[theta.ThetaDecomposition]:
     """The theta decomposition of g from v0, with its ``ThetaArrays``;
     None when a check fails."""
-    n, m = g.n, g.m
-    ends = g.ends
+    n, ends, level = g.n, g.ends, g.level0
     if ends is None:  # a graph built from pairs
-        ends = np.fromiter(chain.from_iterable(g.edges), dtype=np.int64,
-                           count=2 * m)
-    # each vertex's neighbours in edge order (the keys are distinct, so
-    # the fast sort keeps it); the other end of end i is ends[i ^ 1]
-    adj = np.array(range(n), dtype=object)[ends[np.argsort(
-        ends * (2 * m) + np.arange(2 * m)) ^ 1]].tolist()
-    level = np.array(_levels(v0, adj, [0, *np.cumsum(np.bincount(
-        ends, minlength=n)).tolist()]), np.int32)
-    del adj
+        ends = np.fromiter(chain.from_iterable(g.edges), dtype=np.int32,
+                           count=2 * g.m)
+    if level is None or v0 != 0:
+        level = _bfs(n, _arcs(n, ends), v0)
     t = _classes(n, ends, level)
-    if t is None:
-        return None
-    return theta.ThetaDecomposition(v0=v0, q=t.q, arrays=t)
+    return None if t is None else theta.ThetaDecomposition(v0, t.q, arrays=t)
 
 
 def _chunks(weights):
@@ -180,22 +204,6 @@ def _chunks(weights):
         hi = max(lo + 1, int(np.searchsorted(ends, done + _CHUNK, "right")))
         yield slice(lo, hi)
         lo = hi
-
-
-def _levels(v0: int, adj: list, start: list) -> list:
-    """Hop distances from v0, vertex x's neighbors being
-    ``adj[start[x]:start[x + 1]]``. Plain Python: a level-synchronous numpy
-    search pays a dozen calls per level, and a long path has n levels."""
-    dist = [-1] * (len(start) - 1)
-    dist[v0] = 0
-    queue = [v0]
-    for x in queue:
-        dx = dist[x] + 1
-        for y in adj[start[x]:start[x + 1]]:
-            if dist[y] < 0:
-                dist[y] = dx
-                queue.append(y)
-    return dist
 
 
 def _classes(n: int, ends, level) -> Optional[ThetaArrays]:
@@ -214,7 +222,7 @@ def _classes(n: int, ends, level) -> Optional[ThetaArrays]:
         return None
     # edge arc[i] is the i-th ingoing edge in (head, tail) order; the
     # ingoing edges of z sit at low[z]:low[z + 1]
-    keys = head * n + tail
+    keys = head.astype(np.int64) * n + tail
     arc = np.argsort(keys).astype(np.int32)
     keys, below = keys[arc], tail[arc]
     low = np.zeros(n + 1, dtype=np.int64)
@@ -223,7 +231,7 @@ def _classes(n: int, ends, level) -> Optional[ThetaArrays]:
     # every pair (i, j), i < j, of ingoing edges of one vertex z
     after = low[head[arc] + 1] - np.arange(m) - 1
     i = np.repeat(np.arange(m), after)
-    j = i + 1 + np.arange(len(i)) - np.repeat(np.cumsum(after) - after, after)
+    j = _ranges(np.arange(1, m + 1), after)
     # the square z-a-w-b of each pair: each lower neighbour w of a, and
     # whether w is one of b too, a chunk of pairs at a time
     a, b = below[i], below[j]
@@ -232,9 +240,8 @@ def _classes(n: int, ends, level) -> Optional[ThetaArrays]:
     for part in _chunks(fan):
         f = fan[part]
         pair = np.repeat(np.arange(len(f)), f)
-        at = np.arange(len(pair)) + np.repeat(low[a[part]] - np.cumsum(f) + f,
-                                              f)
-        want = b[part][pair] * n + below[at]
+        at = _ranges(low[a[part]], f)
+        want = b[part][pair].astype(np.int64) * n + below[at]
         found = np.minimum(np.searchsorted(keys, want), max(m - 1, 0))
         hit = keys[found] == want
         # every pair must close exactly one square; one that closes two (an
@@ -264,11 +271,11 @@ def _classes(n: int, ends, level) -> Optional[ThetaArrays]:
     cls = (np.cumsum(is_root) - 1)[root]
     if (n > 1 and q >= n) or 2 * n - m - q > 2:
         return None
-    seen = np.sort(ends * q + np.repeat(cls, 2))
+    seen = np.sort(ends.astype(np.int64) * q + np.repeat(cls, 2))
     if (seen[1:] == seen[:-1]).any():
         return None  # a class with two edges at one vertex
     t = ThetaArrays()
-    by = np.argsort(head * q + cls)
+    by = np.argsort(head.astype(np.int64) * q + cls)
     t.q, t.level, t.ends = q, level, ends
     t.cls, t.kin, t.in_ptr, t.in_cls, t.in_tail = (
         a.astype(np.int32) for a in (cls, indegree, low, cls[by], tail[by]))

@@ -53,11 +53,10 @@ from typing import Optional
 import numpy as np
 
 from .cubes import CubeIndex
-from .flat import _CHUNK, _chunks
+from .flat import _CHUNK, MIN_WIDTH, _chunks, _ranges
 from .opposites import _ties, dense, opposite_records
 from .theta import MAX_DIM, ThetaDecomposition
 
-MIN_WIDTH = 8
 PAIRS_PER_RECORD = 4
 
 
@@ -281,13 +280,6 @@ def build(a: Records) -> None:
            if g == 0 or level != glevel[g - 1]]
     new.append(len(glevel))
     a.levels = [(at[g], at[h]) for g, h in zip(new, new[1:]) if at[g] < at[h]]
-
-
-def _ranges(first, lens):
-    """The concatenated ranges ``first[i] .. first[i] + lens[i] - 1``."""
-    ends = np.cumsum(lens)
-    return np.arange(ends[-1] if len(ends) else 0) + \
-        np.repeat(first - (ends - lens), lens)
 
 
 def _faces(a: Records, anti, local):

@@ -46,13 +46,14 @@ class Graph:
     """Simple connected undirected graph, read-only after construction.
 
     ``edges`` holds the ``(u, v)`` pairs in input order. A graph parsed by
-    ``medianecc.flat`` holds its edge ends instead, as the int64 array
+    ``medianecc.flat`` holds its edge ends instead, as the int32 array
     ``ends`` (``u0 v0 u1 v1 ...``; None on every other graph): ``m`` reads
     its length, and ``edges`` is built from it on first read, sharing one
-    int object per vertex id. ``==`` and ``hash`` compare ``n`` and ``edges``.
+    int object per vertex id; ``level0`` holds its int32 BFS levels from 0.
+    ``==`` and ``hash`` compare ``n`` and ``edges``.
     """
 
-    ends = None
+    ends = level0 = None
 
     def __init__(self, n: int, edges: tuple[tuple[int, int], ...]):
         vars(self).update(n=n, edges=edges)

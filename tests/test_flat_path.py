@@ -173,6 +173,88 @@ def test_large_input_builds_no_neighbor_maps():
     assert "neighbors" not in vars(g)
 
 
+def test_bfs_gives_the_scalar_distances(monkeypatch):
+    # one numpy round per level while the levels are wide, Python steps once
+    # they stay narrow; -1 where a vertex is unreached, here past the edges
+    rounds = []
+    ranges = flat._ranges
+
+    def counted(first, lens):
+        rounds.append(len(first))
+        return ranges(first, lens)
+
+    monkeypatch.setattr(flat, "_ranges", counted)
+
+    def search(g, v0):
+        """The distances from v0, and whether each level took a round."""
+        rounds.clear()
+        ends = np.array(g.edges, dtype=np.int64).reshape(-1)
+        level = flat._bfs(g.n, flat._arcs(g.n, ends), v0)
+        assert level.dtype == np.int32
+        return level.tolist(), len(rounds) == level.max() + 1
+
+    graphs = [gen_grid(1, k) for k in (1, 2, 7, 300)]
+    graphs += [gen_grid(k, k) for k in (2, 5, 30)]
+    graphs += [gen_tree(n, seed) for seed, n in enumerate((2, 50, 3000))]
+    graphs += [cartesian_product(star(k), gen_grid(1, 2)) for k in (1, 9, 400)]
+    graphs += [cartesian_product(gen_tree(9, 1), gen_tree(12, 2)),
+               cartesian_product(gen_tree(40, 3), gen_tree(50, 4))]
+    for g in graphs:
+        apart = graph_mod.Graph(g.n + 2, g.edges)  # two isolated vertices
+        for v0 in (0, g.n // 2, g.n - 1):
+            assert search(g, v0)[0] == graph_mod.bfs(g, v0)
+            assert search(apart, v0)[0] == graph_mod.bfs(apart, v0)
+        assert search(apart, g.n + 1)[0] == graph_mod.bfs(apart, g.n + 1)
+
+    for g, numpy_only in ((gen_grid(120, 120), True),
+                          (gen_grid(2, 9000), False)):
+        for v0 in (0, g.n // 2, g.n - 1):
+            assert search(g, v0) == (graph_mod.bfs(g, v0), numpy_only)
+
+
+def test_load_and_flat_theta_share_one_bfs(monkeypatch):
+    # load_graph's connectivity check is flat theta's search from vertex 0;
+    # other basepoints, and graphs built from pairs, search inside theta
+    calls = []
+    search = flat._bfs
+
+    def counted(n, keys, v0):
+        calls.append(v0)
+        return search(n, keys, v0)
+
+    monkeypatch.setattr(flat, "_bfs", counted)
+    grid = gen_grid(120, 120)
+    g = load_graph(save_graph(grid))
+    assert calls == [0] and g.level0.dtype == np.int32
+    result = run_pipeline(g)
+    assert calls == [0] and "neighbors" not in vars(g)
+    assert result.theta.arrays.level is g.level0
+    assert compute_theta(g, 7).arrays is not None and calls == [0, 7]
+
+    calls.clear()
+    built = build_graph(grid.n, grid.edges)
+    assert built.m >= graph_mod.FLAT_MIN_EDGES and calls == []
+    assert compute_theta(built).arrays is not None and calls == [0]
+
+
+def test_disconnected_large_text_is_refused_as_by_the_scalar_code(
+        monkeypatch):
+    # the header counts one vertex that no edge reaches: the flat BFS
+    # refuses the text, and the line scanner names the fault
+    grid = gen_grid(130, 130)
+    text = save_graph(grid).replace(f"{grid.n} ", f"{grid.n + 1} ", 1)
+    assert flat.load_graph(text) is None
+    message = ("graph is disconnected: reached 16900 of 16901 vertices "
+               "from vertex 0")
+    errors = []
+    for cut in (graph_mod.FLAT_MIN_EDGES, len(text)):  # flat, line scanner
+        monkeypatch.setattr(graph_mod, "FLAT_MIN_EDGES", cut)
+        with pytest.raises(graph_mod.GraphValidationError) as err:
+            load_graph(text)
+        errors.append((type(err.value), str(err.value)))
+    assert errors == [(graph_mod.GraphValidationError, message)] * 2
+
+
 def test_large_input_builds_no_edge_tuple():
     # flat theta keeps the parsed edge ends, not a copy; only == builds
     # the pairs. The index holds its record arrays under one name
