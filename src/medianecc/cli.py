@@ -1,13 +1,15 @@
 """Command-line front end.
 
-Subcommands: gen, check, theta, cubes, phi, diam, ecc, sweep. The
-benchmark lives in ``perfbench/`` at the repository root.
+Subcommands: gen, check, phi, ecc, sweep; the benchmark is ``perfbench/``
+at the repository root. ``--v0`` (check, phi, ecc) sets the basepoint; on
+median input only phi's records and ecc's witnesses and pair depend on it.
 Exit codes: 0 success, 1 validation / input failure, 2 usage error.
 """
 from __future__ import annotations
 
 import argparse
 import sys
+from collections import Counter
 from pathlib import Path
 
 from .cubes import enumerate_cubes
@@ -56,56 +58,43 @@ def _cmd_check(args) -> int:
     # theta and the cube walk with its link check accept exactly the
     # median graphs. A connected graph is bipartite iff no edge joins two
     # vertices of one BFS level, which theta checks first; so only a
-    # refusal needs a search of its own.
+    # refusal by theta needs a search of its own.
+    theta = None
     try:
         theta = compute_theta(g, args.v0)
+        # an edge is ingoing at one end; the census reads in_classes too
+        sizes = Counter(c for cs in theta.in_classes for c in cs)
+        print("bipartite true")
+        print(f"q {theta.q}")
+        print(f"class_sizes {','.join(str(sizes[c]) for c in range(theta.q))}")
+        print(f"euler_check {2 * g.n - g.m - theta.q}")
+        index = enumerate_cubes(g, theta)
     except NonMedianGraphError as exc:
-        dist = bfs(g, 0)
-        bip = all(dist[u] != dist[v] for u, v in g.edges)
-        print(f"bipartite {'true' if bip else 'false'}")
+        if theta is None:
+            dist = bfs(g, 0)
+            bip = all(dist[u] != dist[v] for u, v in g.edges)
+            print(f"bipartite {'true' if bip else 'false'}")
         print(f"median false\nrefused: {exc}")
         return 0
-    print("bipartite true")
-    print(f"euler_check {2 * g.n - g.m - theta.q}")
-    try:
-        enumerate_cubes(g, theta)
-    except NonMedianGraphError as exc:
-        print(f"median false\nrefused: {exc}")
-    else:
-        print("median true")
-    return 0
-
-
-def _cmd_theta(args) -> int:
-    g = _read_graph(args.file)
-    theta = compute_theta(g, args.v0)
-    sizes = [0] * theta.q
-    for c in theta.edge_class:
-        sizes[c] += 1
-    print(f"q {theta.q}")
-    print(f"class_sizes {','.join(str(s) for s in sizes)}")
-    print(f"euler_check {2 * g.n - g.m - theta.q}")
-    return 0
-
-
-def _cmd_cubes(args) -> int:
-    g = _read_graph(args.file)
-    theta = compute_theta(g, args.v0)
-    index = enumerate_cubes(g, theta)
-    beta = index.beta_histogram()
+    # the paper's counting identities: one pof per vertex, and
+    # records = sum 2^i beta_i <= 2^d n, beta_i the pofs of size i
+    pofs = set(index.pof)
+    beta = [0] * (index.dimension + 1)
+    for p in pofs:
+        beta[len(p)] += 1
     total = len(index)
     weighted = sum((1 << i) * b for i, b in enumerate(beta))
-    distinct = len(index.distinct_pofs())
     bound = (1 << index.dimension) * g.n
     print(f"d {index.dimension}")
     print(f"records {total}")
     print(f"beta {','.join(str(b) for b in beta)}")
-    print(f"distinct_pofs {distinct} n {g.n} "
-          f"{'ok' if distinct == g.n else 'MISMATCH'}")
+    print(f"distinct_pofs {len(pofs)} n {g.n} "
+          f"{'ok' if len(pofs) == g.n else 'MISMATCH'}")
     print(f"weighted_sum {weighted} records {total} "
           f"{'ok' if weighted == total else 'MISMATCH'}")
     print(f"records {total} bound {bound} "
           f"{'ok' if total <= bound else 'MISMATCH'}")
+    print("median true")
     return 0
 
 
@@ -114,28 +103,15 @@ def _cmd_phi(args) -> int:
     theta = compute_theta(g, args.v0)
     index = enumerate_cubes(g, theta)
     compute_phi(index, theta)
-    if args.dump:
-        for rid in range(len(index)):
-            pof = ",".join(str(c) for c in index.pof[rid]) or "-"
-            print(f"{index.basis[rid]} {pof} {index.phi[rid]} "
-                  f"{index.mu[rid]}")
-    else:
-        print(f"records {len(index)}")
-    return 0
-
-
-def _cmd_diam(args) -> int:
-    g = _read_graph(args.file)
-    rep = run_pipeline(g, v0=args.v0).report
-    a, b = rep.diametral_pair
-    print(f"diameter {rep.diameter} pair {a} {b}")
+    for rid in range(len(index)):
+        pof = ",".join(str(c) for c in index.pof[rid]) or "-"
+        print(f"{index.basis[rid]} {pof} {index.phi[rid]} {index.mu[rid]}")
     return 0
 
 
 def _cmd_ecc(args) -> int:
     g = _read_graph(args.file)
-    result = run_pipeline(g, v0=args.v0)
-    rep = result.report
+    rep = run_pipeline(g, v0=args.v0).report
     print(f"diameter {rep.diameter} radius {rep.radius}")
     print(f"center {rep.center_vertex}")
     print(f"diametral pair {rep.diametral_pair[0]} {rep.diametral_pair[1]}")
@@ -181,32 +157,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--name", choices=list(FIXTURE_NAMES))
     p.set_defaults(func=_cmd_gen)
 
-    p = sub.add_parser("check", help="median / bipartite / euler verdicts")
+    p = sub.add_parser("check", help="median verdict, classes, cube census")
     p.add_argument("file")
     add_v0(p)
     p.set_defaults(func=_cmd_check)
 
-    p = sub.add_parser("theta", help="theta classes summary")
+    p = sub.add_parser("phi", help="one line per cube: basis pof phi mu")
     p.add_argument("file")
     add_v0(p)
-    p.set_defaults(func=_cmd_theta)
-
-    p = sub.add_parser("cubes", help="hypercube census and identities")
-    p.add_argument("file")
-    add_v0(p)
-    p.set_defaults(func=_cmd_cubes)
-
-    p = sub.add_parser("phi", help="upward reach labels")
-    p.add_argument("file")
-    add_v0(p)
-    p.add_argument("--dump", action="store_true",
-                   help="one line per cube: basis pof phi mu")
     p.set_defaults(func=_cmd_phi)
-
-    p = sub.add_parser("diam", help="diameter and a diametral pair")
-    p.add_argument("file")
-    add_v0(p)
-    p.set_defaults(func=_cmd_diam)
 
     p = sub.add_parser("ecc", help="all eccentricities")
     p.add_argument("file")

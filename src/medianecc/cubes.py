@@ -86,16 +86,6 @@ class CubeIndex:
         cached_property(lambda self, name=name: self.records.tolist(name))
         for name in ("order", "basis", "pof", "outgoing", "ingoing"))
 
-    def distinct_pofs(self) -> set:
-        return set(self.pof)
-
-    def beta_histogram(self) -> list:
-        """Count of distinct pofs per cardinality, index = size."""
-        counts = [0] * (self.dimension + 1)
-        for p in self.distinct_pofs():
-            counts[len(p)] += 1
-        return counts
-
 
 def enumerate_cubes(g: Graph, theta: ThetaDecomposition) -> CubeIndex:
     """Emit one record per (anti-basis vertex, subset of ingoing classes).

@@ -1,14 +1,17 @@
 from __future__ import annotations
 
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from medianecc import build_graph, save_graph
+from medianecc import build_graph, load_graph, save_graph
 from medianecc import cli
+from medianecc import graph as graph_mod
+from medianecc import theta as theta_mod
 from medianecc.generators import (cartesian_product, fixture, gen_grid,
                                   gen_hypercube)
 from medianecc.cli import main
@@ -74,28 +77,8 @@ def test_sweep_bad_start(gstar_file, capsys):
     assert capsys.readouterr().err == "error: source 99 out of range 0..4\n"
 
 
-def test_diam_output(hstar_file, capsys):
-    assert main(["diam", hstar_file]) == 0
-    assert "diameter 6" in capsys.readouterr().out
-
-
-def test_theta_output(gstar_file, capsys):
-    assert main(["theta", gstar_file]) == 0
-    out = capsys.readouterr().out
-    assert "q 3" in out
-    assert "euler_check 2" in out
-
-
-def test_cubes_output(gstar_file, capsys):
-    assert main(["cubes", gstar_file]) == 0
-    out = capsys.readouterr().out
-    assert "records 11" in out
-    assert "distinct_pofs 5 n 5 ok" in out
-    assert "MISMATCH" not in out
-
-
 def test_phi_dump(gstar_file, capsys):
-    assert main(["phi", gstar_file, "--dump"]) == 0
+    assert main(["phi", gstar_file]) == 0
     lines = capsys.readouterr().out.strip().splitlines()
     assert len(lines) == 11
     assert all(len(line.split()) == 4 for line in lines)
@@ -106,7 +89,11 @@ def test_check_output(gstar_file, capsys, bfs_calls):
     out = capsys.readouterr().out
     assert "bipartite true" in out
     assert "median true" in out
+    assert "q 3" in out
     assert "euler_check 2" in out
+    assert "records 11" in out
+    assert "distinct_pofs 5 n 5 ok" in out
+    assert "MISMATCH" not in out
     # theta's acceptance is the bipartite verdict; no search of its own
     assert bfs_calls == []
 
@@ -137,7 +124,9 @@ def test_check_refuses_an_unfilled_link_above_128_vertices(tmp_path, capsys):
     assert main(["check", str(path)]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines == [
-        "bipartite true", "euler_check -52", "median false",
+        "bipartite true", "q 21",
+        "class_sizes " + ",".join(["7"] * 18 + ["57"] * 3),
+        "euler_check -52", "median false",
         "refused: classes 18, 19 and 20 pairwise span squares at vertex 0 "
         "but no 3-cube (the link of 0 is not flag)"]
 
@@ -150,8 +139,56 @@ def test_check_is_exact_on_the_readme_grid(tmp_path, capsys, bfs_calls):
     capsys.readouterr()
     assert main(["check", path]) == 0
     assert capsys.readouterr().out.splitlines() == [
-        "bipartite true", "euler_check 2", "median true"]
+        "bipartite true", "q 398", "class_sizes " + ",".join(["200"] * 398),
+        "euler_check 2", "d 2", "records 159201", "beta 1,398,39601",
+        "distinct_pofs 40000 n 40000 ok",
+        "weighted_sum 159201 records 159201 ok",
+        "records 159201 bound 160000 ok", "median true"]
     assert bfs_calls == []
+
+
+def test_check_is_the_same_from_every_basepoint(small_corpus, tmp_path,
+                                                capsys):
+    # classes, beta and the record count are invariants of the graph
+    rng = random.Random(5)
+    graphs = small_corpus + [(p.stem, load_graph(p.read_text()))
+                             for p in sorted(GOLDEN.glob("*.txt"))]
+    for name, g in graphs:
+        path = tmp_path / "g.txt"
+        path.write_text(save_graph(g), encoding="utf-8")
+        outs = set()
+        for v0 in (0, g.n // 2, g.n - 1, rng.randrange(g.n)):
+            assert main(["check", str(path), "--v0", str(v0)]) == 0
+            outs.add(capsys.readouterr().out)
+        assert len(outs) == 1 and "median true" in outs.pop(), name
+
+
+def test_phi_above_the_edge_cut(tmp_path, capsys, monkeypatch):
+    # the array label path, read through the CubeIndex views, equals the
+    # scalar path on the same text
+    g = gen_grid(130, 130)
+    assert g.m >= FLAT_MIN_EDGES
+    text = save_graph(g)
+    path = tmp_path / "grid.txt"
+    path.write_text(text, encoding="utf-8")
+    arrays = []
+    real_enumerate = cli.enumerate_cubes
+
+    def spied(g, theta):
+        index = real_enumerate(g, theta)
+        arrays.append(index.records is not None)
+        return index
+
+    monkeypatch.setattr(cli, "enumerate_cubes", spied)
+    outs = []
+    for cut in (FLAT_MIN_EDGES, len(text)):  # arrays, then scalar
+        monkeypatch.setattr(graph_mod, "FLAT_MIN_EDGES", cut)
+        monkeypatch.setattr(theta_mod, "FLAT_MIN_EDGES", cut)
+        assert main(["phi", str(path)]) == 0
+        outs.append(capsys.readouterr().out)
+    assert arrays == [True, False]
+    assert outs[0] == outs[1]
+    assert outs[0].count("\n") == 130 * 130 + g.m + 129 * 129
 
 
 def test_check_reports_odd_cycle_as_not_bipartite(tmp_path, capsys,
@@ -200,7 +237,7 @@ def test_gen_roundtrip(tmp_path, capsys):
 
     assert main(["gen", "--kind", "grid", "--p", "4", "--q", "5",
                  "--out", str(out)]) == 0
-    assert main(["diam", str(out)]) == 0
+    assert main(["ecc", str(out)]) == 0
     assert "diameter 7" in capsys.readouterr().out
 
     for kind, extra in [("tree", ["--n", "30"]),
@@ -226,10 +263,13 @@ def test_malformed_file_is_input_error(tmp_path, capsys):
     assert "self-loop" in err
 
 
-def test_usage_error_exits_2():
-    with pytest.raises(SystemExit) as exc:
-        main(["frobnicate"])
-    assert exc.value.code == 2
+def test_usage_error_exits_2(gstar_file):
+    # unknown subcommands and options
+    for argv in (["frobnicate"], ["theta", gstar_file], ["cubes", gstar_file],
+                 ["diam", gstar_file], ["phi", gstar_file, "--dump"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
 
 
 def test_golden_outputs_replay_byte_for_byte(tmp_path, capsys):
@@ -238,8 +278,8 @@ def test_golden_outputs_replay_byte_for_byte(tmp_path, capsys):
     for case in cases:
         graph = str(GOLDEN / f"{case}.txt")
         csv = tmp_path / f"{case}.csv"
-        for cmd, extra in [("theta", []), ("cubes", []), ("phi", ["--dump"]),
-                           ("diam", []), ("ecc", ["--csv", str(csv)])]:
+        for cmd, extra in [("check", []), ("phi", []),
+                           ("ecc", ["--csv", str(csv)])]:
             assert main([cmd, graph] + extra) == 0
             want = (GOLDEN / f"{case}.{cmd}.out").read_bytes()
             assert capsys.readouterr().out.encode() == want, (case, cmd)

@@ -33,7 +33,7 @@ def test_q3_census():
     for v0 in (0, 5):
         _, index = _index_for(g, v0)
         assert len(index) == 27  # 8 vertices + 12 edges + 6 squares + 1 cube
-        assert len(index.distinct_pofs()) == 8 == g.n
+        assert len(set(index.pof)) == 8 == g.n
         assert index.dimension == 3
 
 
@@ -52,7 +52,7 @@ def test_fig3_pof_bijection_table():
     for v, pof in expected.items():
         assert theta.in_classes[v] == pof
         record_id(index, pof, anti_basis=v)
-    assert index.distinct_pofs() == set(expected.values())
+    assert set(index.pof) == set(expected.values())
 
 
 def test_pof_extension_examples():
@@ -140,12 +140,12 @@ def _assert_full_cube(g, theta, basis, pof, name):
 def test_counting_identities(small_corpus):
     for name, g in small_corpus:
         theta, index = _index_for(g)
-        distinct = index.distinct_pofs()
+        distinct = set(index.pof)
         assert len(distinct) == g.n, name
         pairs = ortho_pairs(index)
         assert all(is_pof(pairs, p) for p in distinct if len(p) > 1)
-        beta = index.beta_histogram()
-        assert sum((1 << i) * b for i, b in enumerate(beta)) == len(index)
+        # sum 2^i beta_i, beta_i the distinct pofs of size i
+        assert sum(1 << len(p) for p in distinct) == len(index)
         assert len(index) <= (1 << index.dimension) * g.n, name
 
 

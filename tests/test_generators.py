@@ -133,7 +133,7 @@ def test_hypercube_dimension_and_pof_count():
         theta = compute_theta(g)
         index = enumerate_cubes(g, theta)
         assert index.dimension == k
-        assert len(index.distinct_pofs()) == (1 << k) == g.n
+        assert len(set(index.pof)) == (1 << k) == g.n
 
 
 def test_fixture_names_and_unknown():
