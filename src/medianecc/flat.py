@@ -23,9 +23,9 @@ enumeration have their own array path, ``medianecc.flat_labels``.
   of each pair of ingoing edges by ``searchsorted`` on the sorted (head,
   tail) keys, takes each edge's class by pointer jumping from the lower
   side of one of its squares (None where two squares' sides disagree),
-  ranks the classes by smallest edge id, and checks the class counts and
-  that every class is a matching. It keeps its arrays (``ThetaArrays``)
-  and never reads ``Graph.neighbors``.
+  ranks the classes by smallest edge id, and checks that every class is a
+  matching. It keeps its arrays (``ThetaArrays``) and never reads
+  ``Graph.neighbors``.
 
 The cut weighs two measured costs (2-vCPU x86 host, CPython 3.11,
 numpy 2.4). Per call, with numpy loaded, the flat path is faster from the
@@ -244,9 +244,8 @@ def _classes(n: int, ends, level) -> Optional[ThetaArrays]:
         want = b[part][pair].astype(np.int64) * n + below[at]
         found = np.minimum(np.searchsorted(keys, want), max(m - 1, 0))
         hit = keys[found] == want
-        # every pair must close exactly one square; one that closes two (an
-        # induced K_2,3) would fail the matching or count checks below, and
-        # is refused here so that the scalar code's message names it
+        # every pair must close exactly one square; one that closes two is
+        # an induced K_2,3, which the scalar code names
         if (np.bincount(pair[hit], minlength=len(f)) != 1).any():
             return None
         aw[part], bw[part] = at[hit], found[hit]
@@ -269,8 +268,6 @@ def _classes(n: int, ends, level) -> Optional[ThetaArrays]:
     is_root = root == np.arange(m)
     q = int(is_root.sum())
     cls = (np.cumsum(is_root) - 1)[root]
-    if (n > 1 and q >= n) or 2 * n - m - q > 2:
-        return None
     seen = np.sort(ends.astype(np.int64) * q + np.repeat(cls, 2))
     if (seen[1:] == seen[:-1]).any():
         return None  # a class with two edges at one vertex

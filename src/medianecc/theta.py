@@ -43,8 +43,8 @@ and Vaxes, ICALP 2020). By level, an edge into a vertex with one ingoing
 edge starts a class (that vertex is the gate of v0 in the halfspace the
 edge enters, so the edge is its class's lowest), and every other ingoing
 edge z-a takes the class of b-w, opposite it in its first square
-z-a-w-b. Later squares compare classes; a union joins any two that
-disagree, which happens on non-median input only.
+z-a-w-b. Later squares compare classes, and the first square whose
+opposite sides disagree refuses the input: on median input none does.
 
 Graphs of ``graph.FLAT_MIN_EDGES`` edges or more go through
 ``medianecc.flat``, the same steps on numpy arrays; where it refuses a
@@ -103,12 +103,10 @@ def compute_theta(g: Graph, v0: int = 0) -> ThetaDecomposition:
     Vertices are visited by level (see the module docstring for the
     classes). A vertex with more than ``MAX_DIM`` ingoing edges is refused
     before any pair is searched, so no search grows with a degree. Missing
-    or ambiguous completions, equal-level edges, oversized class counts,
-    and non-matching classes also raise NonMedianGraphError. An ambiguous
-    completion (two common lower neighbors, an induced K_2,3) is counted
-    only for its message: without that count the matching or count checks
-    refuse the input anyway, with a message that names the fault less
-    plainly.
+    or ambiguous completions (two common lower neighbors, an induced
+    K_2,3), equal-level edges, squares whose opposite sides inherit
+    different classes, and non-matching classes also raise
+    NonMedianGraphError.
     """
     if not (0 <= v0 < g.n):
         raise ValueError(f"basepoint {v0} out of range 0..{g.n - 1}")
@@ -124,7 +122,6 @@ def _theta_scalar(g: Graph, v0: int) -> ThetaDecomposition:
     """compute_theta one vertex at a time; raises at the first fault."""
     dist0 = g.dist0 if v0 == 0 else bfs(g, v0)
     edges = g.edges
-    m = g.m
 
     for eid, (u, v) in enumerate(edges):
         if dist0[u] == dist0[v]:
@@ -143,8 +140,7 @@ def _theta_scalar(g: Graph, v0: int) -> ThetaDecomposition:
                 f"supported dimension {MAX_DIM}")
     # label[e] names e's class by an edge: its own, or that of the
     # opposite side of its first square; later squares compare labels
-    label = list(range(m))
-    clashes = []
+    label = list(range(g.m))
     for z in sorted(range(g.n), key=dist0.__getitem__):
         inn = down[z]
         for i in range(len(inn) - 1):
@@ -171,29 +167,19 @@ def _theta_scalar(g: Graph, v0: int) -> ThetaDecomposition:
                     if j == 1:
                         label[ea] = label[bw]
                 if label[ea] != label[bw] or label[eb] != label[ew]:
-                    clashes += (label[ea], label[bw]), (label[eb], label[ew])
-    if clashes:  # non-median input only: join the labels squares relate
-        parent = list(range(m))
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = x = parent[parent[x]]
-            return x
-
-        for x, y in clashes:
-            parent[find(x)] = find(y)
-        label = [find(x) for x in label]
-
-    # canonical class ids: ascending minimum edge id
+                    x, y = (a, z), (w, b)
+                    if label[ea] == label[bw]:
+                        x, y = (b, z), (w, a)
+                    raise NonMedianGraphError(
+                        f"square {z}-{a}-{w}-{b}: opposite edges {x} and "
+                        f"{y} inherit different classes")
+    # canonical class ids: ascending minimum edge id. A class starts at
+    # each vertex of in-degree 1 and nowhere else, so q < n; and m sums the
+    # in-degrees, so 2n - m - q = 2 - (the sum of indeg - 2 over vertices
+    # of indeg >= 3) <= 2: both counting identities hold by construction
     rank: dict = {}
     edge_class = [rank.setdefault(x, len(rank)) for x in label]
     q = len(rank)
-
-    if g.n > 1 and q >= g.n:
-        raise NonMedianGraphError(f"class count {q} is not below n = {g.n}")
-    if 2 * g.n - m - q > 2:
-        raise NonMedianGraphError(
-            f"count identity violated: 2n - m - q = {2 * g.n - m - q} > 2")
 
     incident: list = [dict() for _ in range(g.n)]
     ingoing: list = [[] for _ in range(g.n)]

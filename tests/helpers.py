@@ -659,9 +659,12 @@ def near_median_graphs(seed, count):
 
 def reference_theta(g, v0):
     """``(edge_class, q)`` of g from v0 by union-find over every square's
-    two relations, pairs searched vertex by vertex in id order, with the
-    checks and messages of ``compute_theta``; a reference for the class
-    inheritance that the package uses instead."""
+    two relations, pairs searched vertex by vertex in id order, then the
+    class-count checks (``q < n`` and ``2n - m - q <= 2``) and the matching
+    check. The package has neither union-find nor count checks: it takes
+    classes by inheritance and refuses the first square whose sides
+    disagree, so this is the reference for both. Its other checks and
+    messages are those of ``compute_theta``."""
     dist0 = bfs(g, v0)
     for u, v in g.edges:
         if dist0[u] == dist0[v]:

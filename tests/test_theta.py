@@ -11,7 +11,7 @@ from helpers import (class_edges, djokovic_classes, halfspace_sides, is_pof,
 from medianecc import (NonMedianGraphError, build_graph, compute_theta,
                        enumerate_cubes)
 from medianecc import flat
-from medianecc.generators import fixture, gen_tree
+from medianecc.generators import fixture, gen_grid, gen_hypercube, gen_tree
 from medianecc.graph import FLAT_MIN_EDGES
 
 
@@ -218,24 +218,44 @@ def test_two_common_lower_neighbors_refused_from_every_basepoint():
     # a square 1-3-2-4 with a vertex below (0) and one above (5): from 0
     # or 5 the far pair has two common lower neighbours and the scalar path
     # names the induced K_2,3; from any other basepoint no pair does, and
-    # the count identity refuses the graph anyway. From 1 (or 2, 3, 4)
-    # three edges start classes and the squares at 2 and at 5 relate all
-    # three: only the union of disagreeing squares leaves the one class
-    # (q = 1) that the message pins, as the union-find reference does;
-    # the inherited labels alone (q = 3) would pass the identity
+    # three edges start classes (the ones into vertices of in-degree 1)
+    # where the square closure has one. So the square that first relates
+    # two of them has opposite sides with different inherited classes, and
+    # it is named; the union-find reference joins every square instead,
+    # and its one class (q = 1) fails the count identity
     g = build_graph(6, [(0, 1), (0, 2), (1, 3), (2, 3), (1, 4), (2, 4),
                         (3, 5), (4, 5)])
     for v0 in (0, 5):
         with pytest.raises(NonMedianGraphError, match=r"\(induced K_2,3\)$"):
             compute_theta(g, v0)
-    for v0 in (1, 2, 3, 4):
-        for theta_of in (compute_theta, reference_theta):
-            with pytest.raises(NonMedianGraphError,
-                               match=r"^count identity violated: "
-                                     r"2n - m - q = 3 > 2$"):
-                theta_of(g, v0)
+    for v0, square, x, y in ((1, "2-0-1-4", (0, 2), (1, 4)),
+                             (2, "1-0-2-4", (0, 1), (2, 4)),
+                             (3, "4-1-3-5", (1, 4), (3, 5)),
+                             (4, "3-1-4-5", (1, 3), (4, 5))):
+        with pytest.raises(NonMedianGraphError) as exc:
+            compute_theta(g, v0)
+        assert str(exc.value) == (f"square {square}: opposite edges {x} and "
+                                  f"{y} inherit different classes")
+        with pytest.raises(NonMedianGraphError,
+                           match=r"^count identity violated: "
+                                 r"2n - m - q = 3 > 2$"):
+            reference_theta(g, v0)
     for v0 in range(g.n):
         assert flat.compute_theta(g, v0) is None
+
+
+def test_first_fault_in_search_order_is_a_disagreeing_square():
+    # from 0, vertex 6 (level 3) has ingoing edges through 3, 4 and 5; the
+    # pair (3, 4) closes the square 6-3-1-4, and the pair (3, 5) closes
+    # 6-3-2-5, whose sides 3-6 and 2-5 inherit the classes of 1-4 and 2-5.
+    # That square is met before the pair (4, 5), which closes no square
+    g = build_graph(7, [(0, 1), (0, 2), (1, 3), (1, 4), (2, 3), (2, 5),
+                        (3, 6), (4, 6), (5, 6)])
+    with pytest.raises(NonMedianGraphError,
+                       match=r"^square 6-3-2-5: opposite edges \(3, 6\) and "
+                             r"\(2, 5\) inherit different classes$"):
+        compute_theta(g, 0)
+    assert flat.compute_theta(g, 0) is None
 
 
 def _square_fault(message):
@@ -244,10 +264,12 @@ def _square_fault(message):
 
 def test_class_inheritance_equals_the_union_find_closure():
     # on random connected bipartite graphs, median or not, the classes
-    # are those of union-find over every square, and each refusal is the
-    # reference's: the same count or matching message, or a square fault
-    # (two faulty vertices may be met in another order); the flat path
-    # returns None exactly where the scalar path raises
+    # are those of union-find over every square, accepted exactly where the
+    # reference accepts. A square whose sides inherit different classes is
+    # refused where the reference refuses by another message; any other
+    # refusal is the reference's: the same matching message, or a square
+    # fault (two faulty vertices may be met in another order). The flat
+    # path returns None exactly where the scalar path raises
     accepted = 0
     for g, v0 in random_bipartite_graphs(5, 2000):
         try:
@@ -259,7 +281,10 @@ def test_class_inheritance_equals_the_union_find_closure():
             got = theta.edge_class, theta.q
         except NonMedianGraphError as exc:
             got = str(exc)
-        if isinstance(expected, str) and _square_fault(expected):
+        if isinstance(got, str) and got.endswith(
+                " inherit different classes"):
+            assert isinstance(expected, str), (g, v0, got)
+        elif isinstance(expected, str) and _square_fault(expected):
             assert isinstance(got, str) and _square_fault(got), (g, v0, got)
         else:
             assert got == expected, (g, v0)
@@ -269,9 +294,31 @@ def test_class_inheritance_equals_the_union_find_closure():
     assert 200 < accepted < 1800, accepted
 
 
+def test_counting_identities_hold_by_construction():
+    # with no square in disagreement a class starts at each vertex of
+    # in-degree 1 and nowhere else, and m sums the in-degrees; on both
+    # theta paths, for every accepted input
+    draws = random_bipartite_graphs(5, 2000) + [
+        (gen_hypercube(d), 0) for d in range(1, 9)] + [
+        (gen_grid(p, q), 0) for p, q in ((1, 2), (2, 2), (3, 7), (12, 12))]
+    accepted = 0
+    for g, v0 in draws:
+        try:
+            thetas = compute_theta(g, v0), flat.compute_theta(g, v0)
+        except NonMedianGraphError:
+            continue
+        for theta in thetas:
+            indeg = [len(cs) for cs in theta.in_classes]
+            assert theta.q == indeg.count(1), (g, v0)
+            assert 2 * g.n - g.m - theta.q == \
+                2 - sum(max(0, k - 2) for k in indeg), (g, v0)
+        accepted += 1
+    assert accepted > 200 + 8 + 4, accepted
+
+
 def test_scalar_guard_refuses_a_hub_before_its_squares():
-    # vertex 1 has 600 ingoing edges; pairing them first would cost
-    # 180,000 square searches before the count identity refused the graph
+    # vertex 1 has 600 ingoing edges; pairing them first would cost up to
+    # 180,000 square searches before a square refused the graph
     g = k2m(600)
     assert g.m < FLAT_MIN_EDGES
     with pytest.raises(NonMedianGraphError,
