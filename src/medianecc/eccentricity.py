@@ -10,11 +10,11 @@ families on the records around u.
 The sweep visits vertices from the nearest level to the farthest and pairs
 each outgoing record with the ingoing records of its basis that its pof
 does not block; ties go to the opposite's phi, then to the smallest
-ingoing record id. Each vertex takes the path phi took there
-(``index.mask_path``; counted in ``index.paths["psi"]``), keyed so that
-the same ties win. ``eccentricities`` takes the report's extremes from
-the per-vertex maxima of either path; an index with record arrays runs
-the sweep and those maxima in ``medianecc.flat_labels``.
+ingoing record id. At phi's mask vertices (``index.mask_path``) psi skips
+the "blocked" ones and asks ``opposites.disjoint_max`` phi's sizes at the
+others, so it takes phi's path. ``eccentricities`` takes the report's
+extremes from the per-vertex maxima of either path; an index with record
+arrays runs the sweep and those maxima in ``medianecc.flat_labels``.
 """
 from __future__ import annotations
 
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 from . import labels
 from .cubes import CubeIndex
-from .opposites import class_masks, subset_max
+from .opposites import class_masks, disjoint_max
 from .theta import ThetaDecomposition
 
 
@@ -104,23 +104,14 @@ def compute_psi(index: CubeIndex, theta: ThetaDecomposition) -> None:
             continue
         k = len(incident[b]) - len(in_classes[b])
         queries = labels.blocked_masks(index, theta, b, k)
-        masks = class_masks(index, outs, k)
         top = {}  # the best key of each distinct blocked mask
         for t, q in zip(ins[1:], queries[1:]):
             top[q] = max(top.get(q, -1), psi[t] * R + (R - 1 - t))
-        nonempty = list(zip(outs[1:], masks[1:]))
-        if path == "scan":  # best keys first: a later equal psi does not win
-            ranked = sorted(top.items(), key=lambda e: -e[1])
-            offers = ((r, key) for q, key in ranked
-                      for r in [r for r, m in nonempty if not m & q])
-        else:
-            table = subset_max(top.items(), k)
-            offers = ((r, table[-1 - m]) for r, m in nonempty)
-        for r, key in offers:
-            p, t = divmod(key, R)  # p = -1 when no t fits
-            if len(pofs[r]) + p > psi[r]:
-                psi[r] = len(pofs[r]) + p
-                psiw[r] = psiw[R - 1 - t]
+        found, _ = disjoint_max(top.items(), class_masks(index, outs, k), k)
+        for r, key in zip(outs[1:], found[1:]):
+            p = len(pofs[r]) + key // R  # key = -1 when no t fits
+            if p > psi[r]:
+                psi[r], psiw[r] = p, psiw[R - 1 - key % R]
     index.paths["psi"] = {**index.paths["phi"], "loop": loop}
 
 

@@ -15,10 +15,10 @@ upward edges (see ``medianecc.cubes``). Unless a vertex is heavy
 pair. Otherwise every pof inside the complement of t's blocked mask
 (``blocked_masks``) over b's classes (``opposites.class_masks``) is
 unblocked. Where every class blocks every nonempty t, as on Q_d, b is
-"blocked": each t reaches b itself, with no mask work. Elsewhere each
-distinct blocked mask takes a "scan" of b's outgoing masks, one AND per
-record, or where ``_scans`` says that costs more, one subset-max
-"transform" table. ``index.paths["phi"]`` counts the paths, and
+"blocked": each t reaches b itself, with no mask work. Elsewhere the
+kernel ``opposites.disjoint_max`` answers the distinct blocked masks
+from b's outgoing masks, by a "scan" or a subset-max "transform" table.
+``index.paths["phi"]`` counts the paths, and
 ``index.mask_path`` keeps each vertex's mask path for the psi sweep.
 
 An index whose ``records`` slot is set (large inputs with wide levels and
@@ -28,7 +28,7 @@ instead, with the same labels and ties.
 from __future__ import annotations
 
 from .cubes import CubeIndex
-from .opposites import class_bits, class_masks, dense, subset_max
+from .opposites import class_bits, class_masks, dense, disjoint_max
 from .theta import ThetaDecomposition
 
 
@@ -40,11 +40,6 @@ def _heavy_cost(k: int, n_in: int) -> int:
     off the label stages on Q11 and 2 % on small-batch (best of 10,
     interleaved); all-heavy is over 50 % slower on small-batch."""
     return (2 << k) + 2 * n_in + 64
-
-
-def _scans(distinct: int, n_out: int, k: int) -> bool:
-    """Whether n_out ANDs per distinct mask beat k passes over 2^k."""
-    return distinct * n_out < (k + 1) << k
 
 
 def blocked_masks(index: CubeIndex, theta: ThetaDecomposition, b: int,
@@ -118,18 +113,11 @@ def compute_phi(index: CubeIndex, theta: ThetaDecomposition) -> None:
             phi[lo:hi] = map(len, pofs[lo:hi])
             mu[lo:hi] = [b] * (hi - lo)
             continue
-        masks = class_masks(index, outs, k)
         queries = queries[1:]
-        keys = [phi[r] * R + r for r in outs]
-        distinct = set(queries)
-        if _scans(len(distinct), len(outs), k):
-            taken[b] = "scan"
-            best = {q: max([key for key, m in zip(keys, masks) if not m & q])
-                    for q in distinct}
-        else:
-            taken[b] = "transform"
-            table = subset_max(zip(masks, keys), k)
-            best = {q: table[-1 - q] for q in distinct}
+        distinct = list(set(queries))
+        found, taken[b] = disjoint_max([(m, phi[r] * R + r) for r, m in zip(
+            outs, class_masks(index, outs, k))], distinct, k)
+        best = dict(zip(distinct, found))
         wit = {q: mu[key % R] for q, key in best.items()}
         phi[lo:hi] = [len(p) + best[q] // R
                       for p, q in zip(pofs[lo:hi], queries)]

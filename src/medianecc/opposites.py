@@ -12,14 +12,14 @@ L's complement, and so is its weight, so that complement is the answer;
 "ranked" (square corners, most tree vertices, a star's centre), at most
 ``RANKED_POFS`` pofs or only 1-cubes: that ranking, scanned per pof, at
 most p^2 disjointness tests over p pofs, or 2p over 1-cubes, where the
-first or second ranked pof answers; "dense" (``dense``), one subset-max
-table over the class masks (``class_masks``, which phi and psi read
-too); "memo" (hubs such as those of a star times an edge), a table of
-blocked class sets (``opposite_records``). Per vertex the scan took
-0.3-0.56 of the table's time at 4 to 15 pofs, and as long at the
-complete 16-pof vertices of a 6^4 grid, where L's disjoint pofs rank
-low: at 16, small-batch's opposites took 3-8 % less time than at 8, the
-6^4 grid's 25-30 % more (best of 7, 2-vCPU x86 host).
+first or second ranked pof answers; "dense" (``dense``), the kernel
+``disjoint_max`` over the class masks (``class_masks``), which phi's and
+psi's mask paths call too; "memo" (hubs such as those of a star times an
+edge), a table of blocked class sets (``opposite_records``). Per vertex
+the scan took 0.3-0.56 of the table's time at 4 to 15 pofs, and as long
+at the complete 16-pof vertices of a 6^4 grid, where L's disjoint pofs
+rank low: at 16, small-batch's opposites took 3-8 % less time than at 8,
+the 6^4 grid's 25-30 % more (best of 7, 2-vCPU x86 host).
 
 ``medianecc.flat_labels`` answers the dense vertices of an index with
 record arrays on numpy tables by the same keys, the others by memo.
@@ -76,33 +76,47 @@ def _ties(k: int) -> list:
     return [m.bit_count() << k | len(rev) - 1 - r for m, r in enumerate(rev)]
 
 
-def subset_max(items, k: int, low: int = -1) -> list:
-    """``table[M]``: the largest key of the ``(mask, key)`` items, distinct
-    k-bit masks, with mask inside M, or ``low``, in k passes over 2^k
-    slots; ``table[-1 - M]`` reads the masks disjoint from M."""
-    table = [low] * (1 << k)
+def _scans(queries: int, items: int, k: int) -> bool:
+    """Whether ``items`` ANDs per query beat k passes over 2^k slots."""
+    return queries * items < (k + 1) << k
+
+
+def disjoint_max(items, queries, k: int) -> tuple:
+    """For each k-bit query, the largest key of the ``(mask, key)`` items (a
+    sized collection; distinct k-bit masks, nonnegative keys) whose mask is
+    disjoint from it, or -1; and the path: a "scan" per query where
+    ``_scans`` says so, else a subset-max "transform" table, indexed by
+    subtraction (faster than XOR in CPython), read at each complement."""
+    if _scans(len(queries), len(items), k):
+        found = [-1] * len(queries)
+        for i, key in [(i, key) for i, q in enumerate(queries)
+                       for m, key in items if not m & q]:
+            if key > found[i]:
+                found[i] = key
+        return found, "scan"
+    full = (1 << k) - 1
+    table = [-1] * (full + 1)
     for m, key in items:
         table[m] = key
     for i in range(k):
         b = 1 << i
-        for m in range(b, 1 << k):
-            if m & b and table[m ^ b] > table[m]:
-                table[m] = table[m ^ b]
-    return table
+        for m in range(b, full + 1):
+            if m & b and table[m - b] > table[m]:
+                table[m] = table[m - b]
+    return [table[full - q] for q in queries], "transform"
 
 
 def dense_opposites(rids: list, masks: list, weight, k: int) -> list:
     """Opposites of the records ``rids``, in input order, from their
     distinct k-bit ``masks`` (0 among them) and ``weight[r]``. Values
-    ``weight * step - tie[mask]`` (``_ties``) rank as ``(-weight,
-    len(pof), pof)`` with bit i the i-th smallest class: of two equal-size
-    pofs, the one holding the smallest class of their difference comes
-    first, and bit-reversed, that class is the top bit."""
-    step, tie = (k + 1) << k, _ties(k)
-    values = [weight[r] * step - tie[m] for r, m in zip(rids, masks)]
-    best = subset_max(zip(masks, values), k, -step)
-    owner = dict(zip(values, rids))
-    return [owner[best[-1 - m]] for m in masks]
+    ``weight * step + tie[full - mask]`` (``_ties``, there ``step - 1 -
+    tie[mask]``) rank as ``(-weight, len(pof), pof)``, bit i the i-th
+    smallest class: of two equal-size pofs, the one holding the smallest
+    class of their difference comes first; bit-reversed, it is the top bit."""
+    step, tie, full = (k + 1) << k, _ties(k), (1 << k) - 1
+    values = [weight[r] * step + tie[full - m] for r, m in zip(rids, masks)]
+    found, _ = disjoint_max(list(zip(masks, values)), masks, k)
+    return list(map(dict(zip(values, rids)).__getitem__, found))
 
 
 def opposite_records(entries) -> list:

@@ -250,6 +250,13 @@ def test_gen_roundtrip(tmp_path, capsys):
         assert "median true" in capsys.readouterr().out
 
 
+def test_gen_fixture_without_name_is_a_usage_error(tmp_path, capsys):
+    out = tmp_path / "g.txt"
+    assert main(["gen", "--kind", "fixture", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "gen --kind fixture requires --name\n"
+    assert not out.exists()
+
+
 def test_missing_file_is_input_error(capsys):
     assert main(["ecc", "/nonexistent/file.txt"]) == 1
     assert "error:" in capsys.readouterr().err

@@ -95,6 +95,9 @@ SCANNER_ONLY = {COMMENTED, CRLF, PLUS, FULL_WIDTH, NO_BREAK}
      (GraphValidationError, 4, "line 4: duplicate edge (1, 0)")),
     (FULL_WIDTH, P3),
     (NO_BREAK, P3),
+    ("", (GraphFormatError, None, "empty document: missing 'n m' header")),
+    ("# only\n",
+     (GraphFormatError, None, "empty document: missing 'n m' header")),
 ])
 @pytest.mark.parametrize("path", ["default", "flat-first"])
 def test_input_language(text, expected, path, monkeypatch):
@@ -137,6 +140,23 @@ def test_missing_edges_is_an_error():
 def test_validation_errors(text, fragment):
     with pytest.raises(GraphValidationError, match=fragment):
         load_graph(text)
+
+
+def test_build_graph_refuses_no_vertices():
+    with pytest.raises(GraphValidationError) as err:
+        build_graph(0, [])
+    assert str(err.value) == "vertex count must be positive, got 0"
+
+
+def test_graph_is_read_only_and_compares_by_n_and_edges():
+    g = build_graph(3, [(0, 1), (1, 2)])
+    with pytest.raises(AttributeError, match="a Graph is read-only"):
+        g.n = 4
+    assert g.n == 3
+    assert (g == 5) is False
+    assert g == Graph(3, ((0, 1), (1, 2))) != Graph(3, ((0, 1), (0, 2)))
+    back = eval(repr(g), {"Graph": Graph})
+    assert (back.n, back.edges) == (g.n, g.edges)
 
 
 def test_bfs_path():

@@ -3,13 +3,16 @@ from __future__ import annotations
 import random
 import time
 
+import pytest
+
 from medianecc import (build_graph, compute_phi, compute_opposites,
                        compute_theta, enumerate_cubes, run_pipeline)
 from medianecc.generators import (cartesian_product, fixture, gen_grid,
                                   gen_hypercube, gen_tree,
                                   peripheral_expansion)
 from medianecc.opposites import (RANKED_POFS, class_masks, dense,
-                                 dense_opposites, opposite_records)
+                                 dense_opposites, disjoint_max,
+                                 opposite_records)
 
 from helpers import (brute_eccentricities, diameter_via_upsilon,
                      scan_opposites, upsilon)
@@ -131,6 +134,36 @@ def test_opposite_records_match_scan_on_random_families():
         sparse += is_sparse
     # both regimes are exercised
     assert 0 < sparse < 20000 / 2, sparse
+
+
+@pytest.mark.parametrize("scans", [True, False])
+def test_disjoint_max_is_the_largest_disjoint_key(monkeypatch, scans):
+    # each path of the kernel, forced, against a brute-force max over
+    # seeded distinct masks and keys for k = 0..8; a query that meets every
+    # item, and every query over no items, gives -1
+    monkeypatch.setattr("medianecc.opposites._scans", lambda *a: scans)
+    path = "scan" if scans else "transform"
+    assert disjoint_max([], [0], 0) == ([-1], path)
+    assert disjoint_max([(0, 5)], [0], 0) == ([5], path)
+    assert disjoint_max([], [0, 1, 3], 2) == ([-1, -1, -1], path)
+    assert disjoint_max([(1, 4), (2, 7)], [3, 1, 2, 0], 2) == \
+        ([-1, 7, 4, 7], path)
+    rng = random.Random(29)
+    unmet = 0
+    for k in range(9):
+        for _ in range(40):
+            masks = rng.sample(range(1 << k), rng.randint(0, 1 << k))
+            keys = rng.sample(range(10 ** 6), len(masks))
+            queries = [rng.randrange(1 << k)
+                       for _ in range(rng.randint(0, 12))]
+            expected = []
+            for q in queries:
+                fits = [key for m, key in zip(masks, keys) if m & q == 0]
+                expected.append(max(fits) if fits else -1)
+            unmet += expected.count(-1)
+            assert disjoint_max(list(zip(masks, keys)), queries, k) == \
+                (expected, path), (k, masks, keys, queries)
+    assert unmet > 0
 
 
 def _star(m):

@@ -9,7 +9,7 @@ from helpers import (brute_phi_table, is_pof, ladder_set_oracle,
 
 from medianecc import (build_graph, compute_opposites, compute_phi,
                        compute_psi, compute_theta, enumerate_cubes,
-                       run_pipeline)
+                       opposites, run_pipeline)
 from medianecc.generators import (cartesian_product, fixture, gen_hypercube,
                                   gen_tree, peripheral_expansion)
 from medianecc.labels import blocked_masks
@@ -154,7 +154,7 @@ def test_labels_match_pair_scans(monkeypatch, small_corpus):
             count
     monkeypatch.setattr("medianecc.labels._heavy_cost", lambda k, n: -1)
     for scans in (True, False):
-        monkeypatch.setattr("medianecc.labels._scans", lambda *a: scans)
+        monkeypatch.setattr("medianecc.opposites._scans", lambda *a: scans)
         taken, other = ("scan", "transform") if scans else \
             ("transform", "scan")
         for count in check().values():
@@ -198,10 +198,13 @@ def test_sweep_path_counters(small_corpus):
 
 def test_psi_takes_the_path_of_phi(monkeypatch, small_corpus):
     # phi keeps the mask path it took at each vertex in index.mask_path;
-    # psi takes that path with no heavy, dense or scan test of its own,
+    # psi takes that path with no heavy or dense test of its own,
     # recomputes the blocked masks only where phi scanned or transformed,
-    # and counts the same mask paths as phi
+    # asks the kernel's scan-or-table rule there the same queries x items
+    # and k as phi, and counts the same mask paths as phi
     calls = []
+    asked = {"phi": [], "psi": []}
+    scans = opposites._scans
 
     def counted(index, theta, b, k):
         calls.append(b)
@@ -210,24 +213,38 @@ def test_psi_takes_the_path_of_phi(monkeypatch, small_corpus):
     def untaken(*args):
         raise AssertionError("psi decided a path of its own")
 
+    def spy(stage):
+        def asks(queries, items, k):
+            asked[stage].append((queries * items, k))
+            return scans(queries, items, k)
+        return asks
+
     # the corpus has Q1..Q8
     graphs = sweep_corpus(small_corpus) + [("cube9", gen_hypercube(9))]
     totals = dict.fromkeys(("blocked", "scan", "transform"), 0)
     for name, g, *v0 in graphs:
         theta = compute_theta(g, *v0)
         index = enumerate_cubes(g, theta)
+        for stage in asked:
+            asked[stage].clear()
+        monkeypatch.setattr("medianecc.opposites._scans", spy("phi"))
         compute_phi(index, theta)
+        monkeypatch.undo()
         compute_opposites(index)
         monkeypatch.setattr("medianecc.labels.blocked_masks", counted)
-        for hook in ("labels._heavy_cost", "labels._scans", "labels.dense",
-                     "opposites.dense"):
+        for hook in ("labels._heavy_cost", "labels.dense", "opposites.dense"):
             monkeypatch.setattr(f"medianecc.{hook}", untaken)
+        monkeypatch.setattr("medianecc.opposites._scans", spy("psi"))
         calls.clear()
         compute_psi(index, theta)
         monkeypatch.undo()
-        masked = [b for b, path in index.mask_path.items()
-                  if path != "blocked"]
-        assert sorted(calls) == sorted(masked), name
+        masked = [b for b in index.order
+                  if index.mask_path.get(b) in ("scan", "transform")]
+        assert calls == masked, name
+        # psi visits the masked vertices in the order phi visits them
+        # backwards, one kernel call at each
+        assert len(asked["psi"]) == len(masked), name
+        assert asked["psi"] == asked["phi"][::-1], name
         for path in totals:
             assert index.paths["psi"][path] == index.paths["phi"][path] == \
                 list(index.mask_path.values()).count(path), name
